@@ -126,7 +126,6 @@ def _run_crawl_cached(sf_dir: str) -> str:
         exact_seen=True,
         use_bloom=False,
         fetch_concurrency=8,
-        fetch_batch_size=512,
         max_epochs=128,
     )
     run_crawl(config)
@@ -215,7 +214,6 @@ def _q_crawl_order_distributed(sf_dir: str) -> pa.Table:
                 exact_seen=True,
                 use_bloom=False,
                 fetch_concurrency=8,
-                fetch_batch_size=512,
                 max_epochs=128,
                 driver_wave_threshold=0,
                 fetch_mode="dataset",

@@ -14,11 +14,7 @@ Prints ONE JSON line:
 The headline crawl is best-of-BENCH_CRAWL_REPEATS (default 2) with every
 attempt's wall and host probe recorded in the payload — throttle-window
 insurance on this hypervisor-throttled sandbox (see BASELINE.md "Host
-state"), disclosed in full rather than hidden in a single sample. If no
-attempt launched at a healthy probe (≤ 1.0 s), up to
-BENCH_CRAWL_MAX_EXTRA (default 1) further attempts fire, each gated on a
-fresh probe showing the window improved; their walls/probes are disclosed
-in the same payload lists.
+state"), disclosed in full rather than hidden in a single sample.
 
 --scaling: runs the same job in two fresh processes at num_cpus=8 and 32
 and reports both throughputs + scaling efficiency (the sandbox stand-in
@@ -59,17 +55,6 @@ def _host_probe_sec() -> float:
     a = _np.ones((64, 1 << 20), dtype=_np.int8)
     a.cumsum(axis=1, dtype=_np.int32)
     return round(_t.perf_counter() - t0, 3)
-
-
-def _extra_attempt_allowed(probes: list[float], fresh_probe: float) -> bool:
-    """Gate for the probe-gated throttle-insurance attempt: fire another
-    headline-crawl attempt only when (a) NO prior attempt launched inside
-    a healthy window (pre-attempt probe ≤ 1.0 s — below that the end-of-r4
-    diagnostic shows walls no longer track probe depth) AND (b) a fresh
-    probe shows the window has actually improved on the best seen, so the
-    retry measures a different host state instead of re-measuring the same
-    throttle. Pure so the policy is unit-testable (tests/test_bench_gate)."""
-    return min(probes) > 1.0 and fresh_probe < min(probes)
 
 
 def run_bench() -> dict:
@@ -161,7 +146,6 @@ def run_bench() -> dict:
             # shards / politeness / writer tasks alongside
             fetch_concurrency=ncpu,
             fetch_num_cpus=0.7,
-            fetch_batch_size=256,
             # persistent actors across the many waves; BENCH_FETCH_MODE=dataset
             # exercises the streaming map_batches path for the same universe
             fetch_mode=os.environ.get("BENCH_FETCH_MODE", "pool"),
@@ -187,25 +171,6 @@ def run_bench() -> dict:
         if rep + 1 < repeats:
             time.sleep(20)  # shed some of the thermal/turbo carryover
 
-    # Probe-gated throttle insurance: when NO attempt launched inside a
-    # healthy window (pre-attempt probe ≤ 1.0 s) the best wall above is an
-    # upper bound set by the hypervisor, not the engine. Take up to
-    # BENCH_CRAWL_MAX_EXTRA (default 1, 0 when BENCH_CRAWL_ONLY) additional
-    # attempts, each fired only if a fresh probe shows the window actually
-    # improved on the best seen so far — otherwise a retry would just
-    # re-measure the same throttle. Every extra wall and probe is appended
-    # to crawl_walls/crawl_probes, so the payload still discloses exactly
-    # what ran; "best" stays min over ALL disclosed attempts.
-    max_extra = int(
-        os.environ.get("BENCH_CRAWL_MAX_EXTRA", "0" if repeats <= 1 else "1")
-    )
-    for _ in range(max(0, max_extra)):
-        if min(crawl_probes) <= 1.0:
-            break  # some attempt already launched in a healthy window
-        time.sleep(20)
-        if not _extra_attempt_allowed(crawl_probes, _host_probe_sec()):
-            break  # window has not improved; retrying re-measures the throttle
-        _one_attempt(len(crawl_walls))
     crawl_sec, result = best
     timings["crawl"] = round(crawl_sec, 3)
 
@@ -306,7 +271,6 @@ def run_scaling() -> dict:
             RAY_GRAFT_CPUS=str(ncpu),
             BENCH_CRAWL_ONLY="1",
             BENCH_CRAWL_REPEATS="1",
-            BENCH_CRAWL_MAX_EXTRA="0",
         )
         cmd = [sys.executable, os.path.abspath(__file__)]
         if pin is not None:

@@ -72,7 +72,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         seen_capacity_per_shard=max(1 << 16, int(args.pages * 1.5) // n_shards),
         fetch_concurrency=args.workers,
         fetch_num_cpus=args.worker_cpus,
-        fetch_batch_size=args.batch_size,
         checkpoint_interval=args.checkpoint_interval,
         max_epochs=args.max_epochs,
         pipeline_waves=args.scale_mode,
@@ -189,7 +188,6 @@ def main(argv: list[str] | None = None) -> int:
     c.add_argument("--seeds-every", type=int, default=50)
     c.add_argument("--workers", type=int, default=8)
     c.add_argument("--worker-cpus", type=float, default=0.7)
-    c.add_argument("--batch-size", type=int, default=256)
     c.add_argument("--wave-k", type=int, default=200_000)
     c.add_argument("--max-epochs", type=int, default=256)
     c.add_argument("--checkpoint-interval", type=int, default=4)

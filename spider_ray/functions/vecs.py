@@ -74,18 +74,6 @@ def vectors_to_matrix(
     return np.array(mat, copy=True) if copy else mat
 
 
-def series_to_matrix(series, dtype=np.float64) -> np.ndarray:
-    """pandas Series of per-row arrays → (n, d) matrix.
-
-    Ray pandas batches hold list columns as object arrays of numpy
-    arrays; ``np.stack`` is then an O(n) Python loop. Used only on cold
-    paths — hot stages take Arrow batches and use vectors_to_matrix."""
-    vals = series.to_numpy()
-    if len(vals) == 0:
-        return np.empty((0, 0), dtype=dtype)
-    return np.stack(vals).astype(dtype, copy=False)
-
-
 def matrix_to_list_array(mat: np.ndarray) -> pa.ListArray:
     """(n, d) matrix → Arrow ``list`` column without a per-row Python
     loop: one flat values buffer + an arithmetic offsets vector."""

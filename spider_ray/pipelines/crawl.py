@@ -10,16 +10,19 @@ fetch scheduler". Per wave (epoch):
    tie-break on ``url_hash`` is what makes crawl ordering reproducible
    under parallelism (reference ordering = caller order + priority chains,
    SURVEY.md §2.7 O6).
-2. **Fetch + parse + extract + dedup** — one strided chunk per persistent
-   ``FetchWorker`` actor; the worker fetches (adapter parity, error rows),
-   parses links, assembles candidates/documents/images, probes the sharded
-   bloom+cuckoo seen set for its own candidates (batched RPCs to
-   hash-owned shard actors — no all-to-all shuffle), and writes its own
-   pages/images/documents partition files. Driver traffic per wave is
-   O(new URLs), not O(fetched bytes). Dataset mode runs the SAME fused
-   chunk pipeline as independent Ray tasks (per-process stage cache, no
-   persistent pool) for deployments where actors can't be pinned
-   (equivalence pinned by tests/test_fetch_modes.py; ≤1.1× pool wall).
+2. **Fetch + parse + extract + admit** — one data path per chunk: the
+   wave is cut into strided chunks, and each runs the fused row pipeline
+   (``_fused_chunk``) on a ``_ChunkWorker``, which fetches (adapter
+   parity, error rows), parses links, assembles
+   candidates/documents/images, admits its own candidates into the sharded
+   bloom+cuckoo seen set (batched RPCs to hash-owned shard actors — no
+   all-to-all shuffle; this is the crawl's only admission path), and writes
+   its own pages/images/documents partition files. Driver traffic per wave
+   is O(new URLs), not O(fetched bytes). Pool mode submits chunks to
+   persistent ``FetchWorker`` actors; dataset mode submits the same chunks
+   as independent Ray tasks (per-process worker cache, no persistent pool)
+   for deployments where actors can't be pinned (equivalence pinned by
+   tests/test_fetch_modes.py; ≤1.1× pool wall).
 3. **Frontier update + checkpoint** — fresh candidates + politeness
    deferrals + bounded 5xx retries form the next frontier; per-epoch order
    + lineage tables, and frontier + seen snapshots every
@@ -48,8 +51,8 @@ property-tested representations picked by size:
 
 Both fetch modes write pages/images/documents partition files from the
 executing worker; the driver's control plane per wave is counters + fresh
-candidates. Pool mode dispatches ~2 strided chunks per worker with
-work-stealing, so the end-of-wave barrier tail is one small chunk.
+candidates. The dispatch loop sends ~2 strided chunks per fetch slot,
+primed two deep, so the end-of-wave barrier tail is one small chunk.
 """
 
 from __future__ import annotations
@@ -63,46 +66,21 @@ import pyarrow.compute as pc
 import ray
 
 from ..functions.urls import canonicalize_url, host_of, url_hash64
-from ..schemas import FRONTIER_SCHEMA, LINEAGE_SCHEMA, PAGES_SCHEMA
+from ..schemas import (
+    DOCUMENTS_SCHEMA,
+    FRONTIER_SCHEMA,
+    IMAGES_SCHEMA,
+    LINEAGE_SCHEMA,
+    PAGES_SCHEMA,
+)
 from ..sources.fixtures import MockWeb, MockWebConfig
-from ..sources.storage import EpochStore
-from ..stages.dedup import DedupStage
+from ..sources.storage import WRITE_TASK_NUM_CPUS, EpochStore
 from ..stages.fetch import FetchStage
-from ..stages.parse import priority_of
-from ..state.politeness import PolitenessPool
-from ..state.seen import ShardedSeen
+from ..stages.parse import priority_from_hash
+from ..state.politeness import POLITENESS_NUM_CPUS, PolitenessPool
+from ..state.seen import SHARD_NUM_CPUS, ShardedSeen
 
 _FIXED_EPOCH_MS = 1_700_000_000_000
-
-_TRACE = bool(int(__import__("os").environ.get("SPIDER_RAY_TRACE", "0")))
-
-
-class _Tracer:
-    """Per-phase wall-time accumulator, printed to stderr when
-    SPIDER_RAY_TRACE=1 (perf diagnosis only — no effect on results)."""
-
-    def __init__(self):
-        import collections
-
-        self.acc = collections.defaultdict(float)
-        self._t = None
-        self._phase = None
-
-    def mark(self, phase: str | None):
-        import time as _time
-
-        now = _time.perf_counter()
-        if self._phase is not None:
-            self.acc[self._phase] += now - self._t
-        self._phase, self._t = phase, now
-
-    def dump(self):
-        import sys
-
-        total = sum(self.acc.values())
-        parts = ", ".join(f"{k}={v:.2f}s" for k, v in sorted(self.acc.items(), key=lambda kv: -kv[1]))
-        print(f"[spider-ray trace] total={total:.2f}s: {parts}", file=sys.stderr)
-
 
 @dataclass
 class CrawlConfig:
@@ -121,8 +99,6 @@ class CrawlConfig:
     fetch_concurrency: int = 4
     fetch_num_cpus: float = 1.0  # per-worker CPU reservation (fractional →
     # worker count can track num_cpus exactly while service actors co-fit)
-    fetch_batch_size: int = 512
-    dedup_concurrency: int = 2
     retry_max_attempts: int = 1
     respect_robots: bool = False
     # Crawl-delay → per-host tokens: a wave models this many seconds of
@@ -187,9 +163,9 @@ class CrawlConfig:
     #             release it in __del__/close(). State must NOT be
     #             captured in the factory's closure — the factory is
     #             pickled to workers, the live runtime is not.
-    #   sizing    a Chromium-backed actor wants fetch_num_cpus >= 1 and a
-    #             small fetch_batch_size (the browser serializes page
-    #             loads); pure-HTTP resolvers run fine at fractional CPUs.
+    #   sizing    a Chromium-backed actor wants fetch_num_cpus >= 1 (the
+    #             browser serializes page loads); pure-HTTP resolvers run
+    #             fine at fractional CPUs.
     resolver_factory: "object | None" = None
     # Split-wave pipelining: overlap epoch k+1's head with epoch k's tail.
     # After wave k's chunks are all submitted, the top ``spec_wave_frac *
@@ -221,94 +197,81 @@ _PAGE_SLIM_COLS = [
 ]
 
 
-@ray.remote
-class FetchWorker:
-    """Persistent fetch+parse+extract actor reused across waves.
+class _ChunkWorker:
+    """Worker-side state of the fused chunk routine, built in ONE place for
+    both fetch modes: the stateful fetch stage (session/browser/cache —
+    reference tears its browser down per URL, browser-runner.ts:335-338),
+    the seen-shard handles, an optional bloom pre-filter and the depth
+    limit.
 
-    Ray Data's ``map_batches`` builds a fresh actor pool per execution; the
-    wave loop runs one execution per epoch, so for the stateful fetch stage
-    (session/browser/cache — reference tears its browser down per URL,
-    browser-runner.ts:335-338) we keep ONE pool alive for the whole crawl
-    and feed it wave slices round-robin. Everything per-row (fetch, link
-    parse, candidate hashing, document assembly, image decode) runs here;
-    the driver sees only slim columnar results. The Dataset path remains
-    for waves big enough to need streaming backpressure
-    (CrawlConfig.fetch_mode).
+    Pool mode holds one per persistent ``FetchWorker`` actor, reused across
+    waves (Ray Data's ``map_batches`` would build a fresh actor pool per
+    epoch); dataset mode caches one per worker process
+    (``_fetch_chunk_task``). Everything per-row (fetch, link parse,
+    candidate hashing, document assembly, image decode) and the seen-set
+    admission run here; the driver sees only counters + fresh candidates.
     """
 
     def __init__(
         self,
-        web_config,
-        adapter: str,
-        seen: "ShardedSeen | None" = None,
-        use_bloom: bool = False,
-        max_depth: int | None = None,
-        cache_enabled: bool = True,
-        cache_dir: str | None = None,
-        cache_ttl_ms: int | None = None,
+        seen: ShardedSeen,
+        use_bloom: bool,
+        max_depth: int | None,
+        stage_kwargs: dict,
         resolver_factory=None,
     ):
-        self.stage = FetchStage(
-            web_config=web_config,
-            adapter=adapter,
-            cache_enabled=cache_enabled or bool(cache_dir),
-            cache_dir=cache_dir,
-            cache_ttl_ms=cache_ttl_ms,
-            resolver=resolver_factory() if resolver_factory else None,
-        )
-        # worker-side dedup: each worker probes the shared seen shards for
-        # its own chunk's candidates (north rule: bloom pre-filter lives in
-        # the fetch actors) — the driver never touches raw candidates
-        self.seen = seen
-        self.max_depth = max_depth
         from ..state.bloom import BloomFilter
 
+        self.stage = FetchStage(
+            resolver=resolver_factory() if resolver_factory else None,
+            **stage_kwargs,
+        )
+        # worker-side admission: each worker probes the shared seen shards
+        # for its own chunk's candidates (north rule: bloom pre-filter lives
+        # in the fetch actors) — the driver never touches raw candidates
+        self.seen = seen
         self.bloom = BloomFilter(1 << 21, 0.001) if use_bloom else None
-        self.busy_s = 0.0
-        self.dedup_s = 0.0
+        self.max_depth = max_depth
 
-    def _dedup_local(self, candidates: pa.Table) -> pa.Table:
+    def admit(self, candidates: pa.Table) -> pa.Table:
         return _chunk_dedup(candidates, self.seen, self.bloom, self.max_depth)
 
     def process_chunk(
         self,
         chunk: pa.Table,
         keep_content: bool,
-        batch_size: int,
-        sink: dict | None = None,
-        part_id: int = 0,
-        n_partitions: int = 4,
+        sink: dict,
+        part_id: int,
+        n_partitions: int,
     ) -> dict:
-        """One wave-chunk per worker — delegates to the shared fused row
-        pipeline (``_fused_chunk``) with this actor's stateful stage and
-        worker-side dedup. Equivalence with the task-based Dataset-mode
-        path is pinned by tests/test_fetch_modes.py."""
-        import time as _time
-
-        _t0 = _time.perf_counter()
-        out = _fused_chunk(
-            self.stage, chunk, keep_content, sink, part_id, n_partitions,
-            dedup_fn=self._dedup_local,
+        return _fused_chunk(
+            self.stage, chunk, keep_content, sink, part_id, n_partitions, self.admit
         )
-        self.busy_s += _time.perf_counter() - _t0
-        self.dedup_s += out.pop("_dedup_s", 0.0)
-        return out
 
-    def stats(self) -> dict:
-        out = dict(self.stage.stats())
-        out["busy_s"] = self.busy_s
-        out["dedup_s"] = self.dedup_s
-        return out
+
+FetchWorker = ray.remote(_ChunkWorker)
+
+
+def _worker_args(config: CrawlConfig, seen: ShardedSeen) -> tuple:
+    """Constructor args of ``_ChunkWorker`` for this crawl (both modes)."""
+    stage_kwargs = {
+        "web_config": config.web,
+        "adapter": config.adapter,
+        "cache_enabled": config.fetch_cache or bool(config.fetch_cache_dir),
+        "cache_dir": config.fetch_cache_dir,
+        "cache_ttl_ms": config.fetch_cache_ttl_ms,
+    }
+    return (seen, config.use_bloom, config.max_depth, stage_kwargs, config.resolver_factory)
 
 
 def _fused_chunk(
     stage,
     chunk: pa.Table,
     keep_content: bool,
-    sink: dict | None = None,
-    part_id: int = 0,
-    n_partitions: int = 4,
-    dedup_fn=None,
+    sink: dict,
+    part_id: int,
+    n_partitions: int,
+    admit,
 ) -> dict:
     """The fused per-chunk row pipeline shared by BOTH fetch modes.
 
@@ -316,17 +279,15 @@ def _fused_chunk(
     in plain Python, and Arrow tables are materialized exactly ONCE per
     chunk (the earlier micro-batch implementation built + concatenated
     + re-converted tables several times per chunk, which dominated the
-    memory-bandwidth budget at high worker counts). When ``sink`` maps
-    table→directory the executing worker writes its own partition files;
-    the driver receives only counters + (fresh or raw) candidates.
-    ``dedup_fn`` (pool mode) probes the seen shards worker-side; None
-    (dataset mode) returns raw candidates for the driver's deterministic
-    dedup."""
-    import time as _time
-
+    memory-bandwidth budget at high worker counts). ``admit`` filters the
+    chunk's candidates through the seen set; the executing worker writes
+    its own pages/images/documents partition files under ``sink``
+    (table→directory), so the driver receives only counters + fresh
+    candidates."""
     from ..functions.links import extract_html_links
     from ..functions.urls import canonicalize_url, host_of, is_valid_url, url_hash64
-    from ..stages.parse import document_row, image_row, priority_of
+    from ..sources.storage import write_table
+    from ..stages.parse import document_row, image_row
 
     urls = chunk.column("url").to_pylist()
     depths = (
@@ -353,12 +314,10 @@ def _fused_chunk(
         pcol["body_bytes"] = []
         pcol["downloads"] = []
     cand: dict[str, list] = {k: [] for k in (
-        "url", "url_hash", "host", "priority", "depth", "parent_url_hash",
-        "anchor_text",
+        "url", "url_hash", "host", "depth", "parent_url_hash", "anchor_text",
     )}
     image_rows: list[dict] = []
     doc_rows: list[dict] = []
-    n_raw = 0
     for i, url in enumerate(urls):
         r = stage._fetch_one(url, attempts[i] or 0)
         status = r["status"]
@@ -392,17 +351,14 @@ def _fused_chunk(
             pcol["body_bytes"].append(r["body_bytes"])
             pcol["downloads"].append(r.get("downloads"))
         if links:
-            n_raw += len(links)
             for link in links:
                 href = link["href"]
                 if not is_valid_url(href):
-                    n_raw -= 1
                     continue
                 canonical = canonicalize_url(href)
                 cand["url"].append(canonical)
                 cand["url_hash"].append(url_hash64(canonical))
                 cand["host"].append(host_of(canonical))
-                cand["priority"].append(priority_of(canonical))
                 cand["depth"].append((depths[i] or 0) + 1)
                 cand["parent_url_hash"].append(hashes[i])
                 cand["anchor_text"].append(link.get("text"))
@@ -417,15 +373,14 @@ def _fused_chunk(
         if doc is not None:
             doc_rows.append(doc)
 
-    from ..schemas import DOCUMENTS_SCHEMA, IMAGES_SCHEMA
-
     n = len(cand["url"])
+    cand_hashes = np.array(cand["url_hash"], dtype=np.uint64)
     candidates = pa.table(
         {
             "url": pa.array(cand["url"], pa.string()),
-            "url_hash": pa.array(cand["url_hash"], pa.uint64()),
+            "url_hash": pa.array(cand_hashes, pa.uint64()),
             "host": pa.array(cand["host"], pa.string()),
-            "priority": pa.array(cand["priority"], pa.float64()),
+            "priority": pa.array(priority_from_hash(cand_hashes), pa.float64()),
             "depth": pa.array(cand["depth"], pa.int32()),
             "discovered_at": pa.nulls(n, pa.timestamp("ms")),
             "parent_url_hash": pa.array(cand["parent_url_hash"], pa.uint64()),
@@ -447,31 +402,20 @@ def _fused_chunk(
         pa.Table.from_pylist(doc_rows, schema=DOCUMENTS_SCHEMA)
         if doc_rows else DOCUMENTS_SCHEMA.empty_table()
     )
-    _t1 = _time.perf_counter()
     out = {
         "n_candidates_raw": candidates.num_rows,
         "n_pages": pages.num_rows,
         "n_images": images.num_rows,
-        "n_documents": documents.num_rows,
-        "fresh": dedup_fn(candidates) if dedup_fn is not None else None,
+        "fresh": admit(candidates),
         "failed": _failed_rows(pages),
         "lineage": _lineage_fetch_partial(pages, n_partitions),
-        "_dedup_s": 0.0,
     }
-    if dedup_fn is None:
-        out["candidates_raw"] = candidates
-    out["_dedup_s"] = _time.perf_counter() - _t1
-    if sink is not None:
-        from ..sources.storage import write_table
-
-        name = f"part-{part_id:05d}.parquet"
-        write_table(pages, sink["pages"], name)
-        if images.num_rows:
-            write_table(images, sink["images"], name)
-        if documents.num_rows:
-            write_table(documents, sink["documents"], name)
-    else:
-        out.update(pages=pages, images=images, documents=documents)
+    name = f"part-{part_id:05d}.parquet"
+    write_table(pages, sink["pages"], name)
+    if images.num_rows:
+        write_table(images, sink["images"], name)
+    if documents.num_rows:
+        write_table(documents, sink["documents"], name)
     return out
 
 
@@ -481,7 +425,7 @@ def _chunk_dedup(candidates: pa.Table, seen, bloom, max_depth) -> pa.Table:
     batched check_and_add fan-out to the hash-owned shard actors. The
     admitted SET is order-independent (shard admission is exactly-once per
     key), so chunk completion order can't change the frontier."""
-    if seen is None or candidates.num_rows == 0:
+    if candidates.num_rows == 0:
         return candidates
     if max_depth is not None:
         candidates = candidates.filter(
@@ -501,64 +445,40 @@ def _chunk_dedup(candidates: pa.Table, seen, bloom, max_depth) -> pa.Table:
     return candidates.filter(pa.array(unseen))
 
 
-_TASK_STAGE_CACHE: dict = {}
-_TASK_BLOOM_CACHE: dict = {}
+_TASK_WORKER: dict = {}
 
 
 @ray.remote
 def _fetch_chunk_task(
     chunk: pa.Table,
     keep_content: bool,
-    sink: dict | None,
+    sink: dict,
     part_id: int,
     n_partitions: int,
-    stage_kwargs: dict,
-    resolver_factory=None,
-    seen=None,
-    use_bloom: bool = False,
-    max_depth: int | None = None,
+    worker_args: tuple,
 ) -> dict:
     """Dataset-mode fetch unit: one wave chunk per Ray TASK (no persistent
     pool — the streaming path for waves/deployments where actors can't be
-    pinned). The stateful FetchStage (and the dedup pre-filter bloom) is
-    cached per worker PROCESS keyed by its construction args, so session/
-    cache/bloom state amortizes across tasks exactly like an actor pool
-    without per-wave pool startup (a fresh ``map_batches`` actor pool per
-    wave cost 2-8 s/wave at 32 CPUs). Sinks are written by the task
-    itself; with ``seen`` handles the task also probes the shard actors
-    for its own candidates — the driver receives counters + fresh
-    candidates only, exactly pool mode's control plane."""
+    pinned). The ``_ChunkWorker`` is cached per worker PROCESS keyed by its
+    construction args (the seen handles included, so a new crawl never
+    inherits an old crawl's bloom), so session/cache/bloom state amortizes
+    across tasks exactly like an actor pool without per-wave pool startup
+    (a fresh ``map_batches`` actor pool per wave cost 2-8 s/wave at 32
+    CPUs)."""
+    seen, use_bloom, max_depth, stage_kwargs, resolver_factory = worker_args
     key = (
+        tuple(seen.shards),
+        use_bloom,
+        max_depth,
         repr(stage_kwargs),
         getattr(resolver_factory, "__qualname__", repr(resolver_factory)),
     )
-    stage = _TASK_STAGE_CACHE.get(key)
-    if stage is None:
-        stage = FetchStage(
-            resolver=resolver_factory() if resolver_factory else None,
-            **stage_kwargs,
-        )
-        _TASK_STAGE_CACHE.clear()  # one live stage per worker process
-        _TASK_STAGE_CACHE[key] = stage
-    bloom = None
-    if use_bloom and seen is not None:
-        from ..state.bloom import BloomFilter
-
-        bloom = _TASK_BLOOM_CACHE.get(key)
-        if bloom is None:
-            bloom = BloomFilter(1 << 21, 0.001)
-            _TASK_BLOOM_CACHE.clear()
-            _TASK_BLOOM_CACHE[key] = bloom
-    dedup_fn = (
-        (lambda cands: _chunk_dedup(cands, seen, bloom, max_depth))
-        if seen is not None
-        else None
-    )
-    out = _fused_chunk(
-        stage, chunk, keep_content, sink, part_id, n_partitions, dedup_fn=dedup_fn
-    )
-    out.pop("_dedup_s", None)
-    return out
+    worker = _TASK_WORKER.get(key)
+    if worker is None:
+        worker = _ChunkWorker(*worker_args)
+        _TASK_WORKER.clear()  # one live worker state per process
+        _TASK_WORKER[key] = worker
+    return worker.process_chunk(chunk, keep_content, sink, part_id, n_partitions)
 
 
 def _failed_rows(pages_slim: pa.Table) -> pa.Table:
@@ -766,23 +686,23 @@ def wave_select_dataset(
 # ---------------------------------------------------------------------------
 
 def frontier_from_seeds(seeds: list[str]) -> pa.Table:
-    rows = []
-    for url in seeds:
-        canonical = canonicalize_url(url)
-        rows.append(
-            {
-                "url": canonical,
-                "url_hash": url_hash64(canonical),
-                "host": host_of(canonical),
-                "priority": priority_of(canonical),
-                "depth": 0,
-                "discovered_at": _FIXED_EPOCH_MS,
-                "parent_url_hash": None,
-                "attempts": 0,
-                "anchor_text": None,
-            }
-        )
-    return pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA)
+    urls = [canonicalize_url(url) for url in seeds]
+    hashes = np.array([url_hash64(u) for u in urls], dtype=np.uint64)
+    n = len(urls)
+    return pa.table(
+        {
+            "url": pa.array(urls, pa.string()),
+            "url_hash": pa.array(hashes, pa.uint64()),
+            "host": pa.array([host_of(u) for u in urls], pa.string()),
+            "priority": pa.array(priority_from_hash(hashes), pa.float64()),
+            "depth": pa.array(np.zeros(n, dtype=np.int32)),
+            "discovered_at": pa.array([_FIXED_EPOCH_MS] * n, pa.timestamp("ms")),
+            "parent_url_hash": pa.nulls(n, pa.uint64()),
+            "attempts": pa.array(np.zeros(n, dtype=np.int32)),
+            "anchor_text": pa.nulls(n, pa.string()),
+        },
+        schema=FRONTIER_SCHEMA,
+    )
 
 
 def _empty_frontier() -> pa.Table:
@@ -1084,61 +1004,60 @@ class Frontier:
 # The crawl driver loop
 # ---------------------------------------------------------------------------
 
+def _fetch_slots(config: CrawlConfig, n_politeness: int) -> int:
+    """Fetch workers (pool actors or concurrent dataset-mode tasks) that
+    co-schedule with the crawl's own reservations: the seen shards, the
+    politeness actors and one checkpoint-write task. A worker that cannot
+    schedule would hang its wave forever, so a budget with room for none
+    raises instead."""
+    avail = float(ray.cluster_resources().get("CPU", config.fetch_concurrency))
+    reserved = (
+        config.n_seen_shards * SHARD_NUM_CPUS
+        + n_politeness * POLITENESS_NUM_CPUS
+        + WRITE_TASK_NUM_CPUS
+    )
+    per_worker = max(0.1, config.fetch_num_cpus)
+    fit = int((avail - reserved) / per_worker + 1e-9)
+    if fit < 1:
+        raise ValueError(
+            f"crawl needs {reserved + per_worker:.2f} CPUs ({config.n_seen_shards} "
+            f"seen shards x {SHARD_NUM_CPUS}, {n_politeness} politeness actors x "
+            f"{POLITENESS_NUM_CPUS}, a {WRITE_TASK_NUM_CPUS}-CPU checkpoint write "
+            f"and one {per_worker}-CPU fetch worker) but the Ray cluster has "
+            f"{avail:.2f}"
+        )
+    return max(1, min(config.fetch_concurrency, fit))
+
+
 def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     """Run (or resume) a crawl to completion; everything checkpointed per
     epoch. Ray must already be initialized by the caller."""
+    n_politeness = max(1, config.n_seen_shards // 2)
+    slots = _fetch_slots(config, n_politeness)  # raises before any actor starts
     store = EpochStore(config.out_dir)
     seen = ShardedSeen.create(
         n_shards=config.n_seen_shards,
         capacity_per_shard=config.seen_capacity_per_shard,
         exact=config.exact_seen,
     )
-    from ..state.bloom import BloomFilter
-
-    # driver-side bloom pre-filter over *confirmed-seen* keys: repeat
-    # duplicates skip the shard RPC entirely (lossy-in-the-safe-direction:
-    # an FP can only suppress a duplicate probe after the key was confirmed
-    # seen... except hash collisions at the configured 1e-3 rate — bit-exact
-    # conformance runs therefore set use_bloom=False)
-    bloom = (
-        BloomFilter(config.seen_capacity_per_shard * config.n_seen_shards, 0.001)
-        if config.use_bloom
-        else None
-    )
     politeness = PolitenessPool.create(
-        n_actors=max(1, config.n_seen_shards // 2),
+        n_actors=n_politeness,
         budget_per_wave=config.max_per_host_per_wave,
         wave_period_s=config.politeness_wave_period_s,
         agent=config.robots_agent,
     )
     web = MockWeb(config.web)
-    # cap the pool to schedulable CPUs — an over-requested actor never
-    # schedules and its round-robin slices would hang the wave forever
-    avail_cpus = float(ray.cluster_resources().get("CPU", config.fetch_concurrency))
-    reserved = 0.1 * config.n_seen_shards + 0.5  # shards + politeness + slack
-    max_workers = max(1, int((avail_cpus - reserved) / max(0.1, config.fetch_num_cpus)))
-    pool_n = max(1, min(config.fetch_concurrency, max_workers))
-    worker_dedup = config.fetch_mode != "dataset"
+    worker_args = _worker_args(config, seen)
     # Pure dataset mode never touches the persistent pool — building it
-    # anyway would park pool_n × fetch_num_cpus CPUs on idle actors and
+    # anyway would park slots × fetch_num_cpus CPUs on idle actors and
     # starve the Ray Data pipeline's own tasks (observed as a from_arrow
     # metadata-task deadlock on small CPU counts).
     fetch_pool = (
         []
         if config.fetch_mode == "dataset"
         else [
-            FetchWorker.options(num_cpus=config.fetch_num_cpus).remote(
-                config.web,
-                config.adapter,
-                seen if worker_dedup else None,
-                config.use_bloom if worker_dedup else False,
-                config.max_depth,
-                config.fetch_cache,
-                config.fetch_cache_dir,
-                config.fetch_cache_ttl_ms,
-                config.resolver_factory,
-            )
-            for _ in range(pool_n)
+            FetchWorker.options(num_cpus=config.fetch_num_cpus).remote(*worker_args)
+            for _ in range(slots)
         ]
     )
 
@@ -1169,7 +1088,6 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     import os as _os
     import shutil as _shutil
 
-    tracer = _Tracer() if _TRACE else None
     pending_writes: tuple[int, list] | None = None
     unflushed_refs: list = []
     # split-wave pipelining is only sound when the persistent pool exists,
@@ -1187,7 +1105,6 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     # any checkpoint taken while they are in flight.
     spec_state: dict | None = None
     while (frontier.count > 0 or spec_state is not None) and epoch < config.max_epochs:
-        if tracer: tracer.mark("wave_select")
         politeness.begin_wave()
         spec_prev, spec_state = spec_state, None
         spec_tbl = spec_prev["table"] if spec_prev else None
@@ -1301,28 +1218,22 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         # ---- fetch + parse + extract + dedup (distributed) ---------------
         # dedup runs inside the workers, so snapshot shard stats first
         stats_before = seen.stats()
-        if tracer: tracer.mark("fetch_wave")
         meta, spec_state = _fetch_wave(
-            wave_rest, config, fetch_pool, store, epoch, seen=seen,
+            wave_rest, config, fetch_pool, store, epoch, worker_args, slots,
             carried=spec_prev, next_spec=next_spec,
         )
         if meta is None or meta["n_pages"] == 0:
             if spec_state is not None:  # drain + discard dangling speculation
                 ray.get(spec_state["refs"])
-                for t in ("pages", "images", "documents"):
-                    d = store.epoch_dir(t, epoch + 1)
-                    if _os.path.isdir(d):
-                        _shutil.rmtree(d, ignore_errors=True)
+                _epoch_sink(store, epoch + 1, clear=True)
                 spec_state = None
             break
         pages_fetched += meta["n_pages"]
         images_written += meta["n_images"]
-        write_refs = list(meta["write_refs"])
 
         # previous epoch's checkpoint writes overlapped with this fetch;
         # gather them now and only then mark that epoch complete
         if pending_writes is not None:
-            if tracer: tracer.mark("checkpoint.barrier")
             prev_epoch, prev_refs = pending_writes
             ray.get(prev_refs)
             store.mark_epoch_complete(prev_epoch, config.key())
@@ -1339,21 +1250,10 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
                 "priority": wave.column("priority"),
             }
         )
-        write_refs.append(store.write_async("order", epoch, order_table))
+        write_refs = [store.write_async("order", epoch, order_table)]
 
-        # ---- candidates → dedup → next frontier -------------------------
-        if tracer: tracer.mark("dedup")
-        candidates_n = meta["n_candidates_raw"]
-        if meta["fresh"] is not None:
-            fresh_table = meta["fresh"]  # workers already probed the shards
-        else:
-            candidates = meta["candidates_raw"]
-            if config.max_depth is not None:
-                candidates = candidates.filter(
-                    pc.less_equal(candidates.column("depth"), config.max_depth)
-                )
-                candidates_n = candidates.num_rows
-            fresh_table = _dedup_candidates(candidates, seen, config, bloom, tracer)
+        # ---- fresh candidates (admitted by the workers) → next frontier --
+        fresh_table = meta["fresh"]
 
         # ---- retries: 5xx rows re-enqueue with attempts+1 ----------------
         retry_rows = _retry_rows(meta["failed"], wave, config.retry_max_attempts)
@@ -1369,7 +1269,6 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         frontier = deferred.with_extra(extra)
 
         # ---- lineage + checkpoint ---------------------------------------
-        if tracer: tracer.mark("checkpoint")
         stats_after = seen.stats()
         write_refs.append(store.write_async(
             "lineage",
@@ -1377,7 +1276,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             _lineage_table(
                 epoch,
                 meta["lineage_fetch"],
-                candidates_n,
+                meta["n_candidates_raw"],
                 fresh_table.num_rows,
                 stats_before,
                 stats_after,
@@ -1413,18 +1312,6 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         ray.get(unflushed_refs)
         store.mark_epoch_complete(epoch - 1, config.key())
         unflushed_refs = []
-    if tracer:
-        tracer.mark(None)
-        tracer.dump()
-        import sys
-
-        ws = ray.get([w.stats.remote() for w in fetch_pool]) if fetch_pool else []
-        print(
-            f"[spider-ray trace] workers n={len(ws)} "
-            f"busy_sum={sum(w.get('busy_s', 0) for w in ws):.1f}s "
-            f"dedup_sum={sum(w.get('dedup_s', 0) for w in ws):.1f}s",
-            file=sys.stderr,
-        )
     store.mark_done()
     final_stats = seen.stats()
     # Release the crawl's actors NOW rather than when Ray reaps the
@@ -1500,25 +1387,55 @@ def _checkpoint_frontier(store: EpochStore, epoch: int, frontier: Frontier) -> l
     return []
 
 
+def _epoch_sink(store: EpochStore, epoch: int, clear: bool) -> dict:
+    """The epoch's pages/images/documents partition dirs; ``clear`` empties
+    them first (an epoch's part files are rebuilt from scratch on re-run)."""
+    import os
+    import shutil
+
+    sink = {t: store.epoch_dir(t, epoch) for t in ("pages", "images", "documents")}
+    if clear:
+        for d in sink.values():
+            if os.path.exists(d):
+                shutil.rmtree(d)
+    return sink
+
+
+def _n_chunks(rows: int, lo: int, hi: int) -> int:
+    """Strided chunk count for ``rows`` rows: ≥4k rows per chunk (more
+    chunks multiply the per-chunk seen-shard RPC rounds — a 2k floor
+    measured +75% dedup RPC time at sf0.1 for ~equal idle), clamped to
+    ``[lo, hi]`` chunks, but never under 64 rows per chunk."""
+    if rows == 0:
+        return 0
+    return max(1, min(hi, max(lo, rows // 4096), -(-rows // 64)))
+
+
 def _fetch_wave(
     wave: pa.Table,
     config: CrawlConfig,
     fetch_pool: list,
-    store=None,
-    epoch: int = 0,
-    seen=None,
+    store: EpochStore,
+    epoch: int,
+    worker_args: tuple,
+    slots: int,
     carried: dict | None = None,
     next_spec: pa.Table | None = None,
 ) -> tuple[dict | None, dict | None]:
-    """Fetch+parse+extract+dedup one wave → (meta, spec_state). meta:
-    {fresh, failed, lineage_fetch, n_pages, n_images, n_candidates_raw,
-    write_refs}. Pool mode: strided chunks over persistent workers with
-    work-stealing at queue depth 2 (each worker keeps one chunk queued in
-    its mailbox so there is no driver-round-trip gap between chunks).
-    Dataset mode: strided chunks over independent Ray tasks (per-process
-    stage cache). BOTH run the same fused row pipeline (_fused_chunk),
-    write their own partition files, probe the seen shards worker-side, and
-    ship back only fresh candidates + counters.
+    """Fetch+parse+extract+admit one wave → (meta, spec_state). meta:
+    {fresh, failed, lineage_fetch, n_pages, n_images, n_candidates_raw}.
+
+    The wave is cut into strided chunks (i::n — cheap HTML rows and
+    expensive image rows mix evenly), ~2 per fetch slot, each run by the
+    fused row pipeline (``_fused_chunk``) on a ``_ChunkWorker`` that writes
+    its own partition files and admits its own candidates into the seen
+    set. The two fetch modes differ only in how a chunk is submitted: pool
+    mode to a persistent ``FetchWorker`` actor, dataset mode as an
+    independent ``_fetch_chunk_task`` (streaming, no pinned actors). Every
+    slot's mailbox is primed two deep, so finishing a chunk never waits a
+    driver round-trip (worker idle was ~29 % of the fetch phase with
+    depth-1 dispatch, 28 workers); any further chunk goes to whichever
+    worker frees up first.
 
     Split-wave pipelining (pool mode only): ``carried`` is the speculation
     dispatched LAST epoch — its rows are this wave's head, its refs are
@@ -1529,230 +1446,69 @@ def _fetch_wave(
     use_dataset = config.fetch_mode == "dataset" or (
         config.fetch_mode == "auto" and wave.num_rows > config.dataset_wave_threshold
     )
-    keep = config.keep_page_content
+    keep, n_parts = config.keep_page_content, config.n_seen_shards
     if use_dataset:
-        # Streaming path with NO persistent pool: the wave is cut into
-        # strided chunks, each processed by an independent Ray TASK running
-        # the same fused row pipeline as pool mode (_fetch_chunk_task —
-        # per-worker-process stage cache amortizes stateful setup). Tasks
-        # write their own pages/images/documents partition files; the
-        # driver receives only counters + raw candidates (it owns the
-        # deterministic dedup in this mode). This replaced a per-wave
-        # ``map_batches(FetchStage)`` actor pool + materialize + five
-        # downstream passes whose per-wave pool startup cost 2-8 s/wave —
-        # 18× slower than pool mode at sf0.1. (VERDICT r1 #2.)
-        import os
-        import shutil
-
-        sink = {t: store.epoch_dir(t, epoch) for t in ("pages", "images", "documents")}
-        for d in sink.values():  # idempotent re-run of a crashed epoch
-            if os.path.exists(d):
-                shutil.rmtree(d)
-        avail_cpus = float(ray.cluster_resources().get("CPU", config.fetch_concurrency))
-        slots = max(
-            1,
-            min(config.fetch_concurrency, int(avail_cpus / max(0.1, config.fetch_num_cpus))),
-        )
-        # pool-mode's sizing: ~2 chunks per slot, ≥4k rows each (more chunks
-        # multiply the per-chunk seen-shard RPC rounds), capped at 4096
-        # part files per epoch
-        n_chunks = max(1, min(2 * slots, max(slots, wave.num_rows // 4096), 4096))
-        n_chunks = min(n_chunks, max(1, -(-wave.num_rows // 64)))
-        stage_kwargs = {
-            "web_config": config.web,
-            "adapter": config.adapter,
-            "cache_enabled": config.fetch_cache or bool(config.fetch_cache_dir),
-            "cache_dir": config.fetch_cache_dir,
-            "cache_ttl_ms": config.fetch_cache_ttl_ms,
-        }
         task = _fetch_chunk_task.options(num_cpus=config.fetch_num_cpus)
-        refs = [
-            task.remote(
-                wave.take(pa.array(range(c, wave.num_rows, n_chunks))),
-                keep,
-                sink,
-                c,
-                config.n_seen_shards,
-                stage_kwargs,
-                config.resolver_factory,
-                seen,
-                config.use_bloom,
-                config.max_depth,
-            )
-            for c in range(n_chunks)
-        ]
-        parts: list = [None] * n_chunks
-        pending = {r: i for i, r in enumerate(refs)}
-        while pending:
-            done, _ = ray.wait(list(pending.keys()), num_returns=1)
-            parts[pending.pop(done[0])] = ray.get(done[0])
-        for t in ("images", "documents"):  # drop empty partitions
-            if _dir_rows(sink[t]) == 0 and os.path.isdir(sink[t]):
-                shutil.rmtree(sink[t])
-        worker_dedup = seen is not None
-        return {
-            # tasks probed the shard actors themselves when seen handles
-            # were passed; otherwise the driver dedups (chunk-index concat
-            # keeps that path deterministic run-to-run)
-            "fresh": (
-                pa.concat_tables([p["fresh"] for p in parts]) if worker_dedup else None
-            ),
-            "candidates_raw": (
-                None
-                if worker_dedup
-                else pa.concat_tables([p["candidates_raw"] for p in parts])
-            ),
-            "failed": pa.concat_tables([p["failed"] for p in parts]),
-            "lineage_fetch": pa.concat_tables([p["lineage"] for p in parts]),
-            "n_pages": sum(p["n_pages"] for p in parts),
-            "n_images": sum(p["n_images"] for p in parts),
-            "n_candidates_raw": sum(p["n_candidates_raw"] for p in parts),
-            "write_refs": [],
-        }, None
-    # ---- pool mode: workers write their own partitions ------------------
-    import os
-    import shutil
 
-    sink = {t: store.epoch_dir(t, epoch) for t in ("pages", "images", "documents")}
-    if carried is None:
-        for d in sink.values():  # idempotent re-run of a crashed epoch
-            if os.path.exists(d):
-                shutil.rmtree(d)
-    # else: last epoch's speculative dispatch already cleaned these dirs and
-    # its chunks are writing part ids 0..carried["n_chunks"]-1 into them
+        def submit(slot: int, chunk: pa.Table, sink: dict, part_id: int):
+            return task.remote(chunk, keep, sink, part_id, n_parts, worker_args)
+    else:
+        def submit(slot: int, chunk: pa.Table, sink: dict, part_id: int):
+            return fetch_pool[slot].process_chunk.remote(chunk, keep, sink, part_id, n_parts)
+
+    def strided(table: pa.Table, n: int, c: int) -> pa.Table:
+        return table.take(pa.array(range(c, table.num_rows, n)))
+
+    # with ``carried``, last epoch's speculative dispatch already emptied
+    # this epoch's dirs and its chunks are writing into them
+    sink = _epoch_sink(store, epoch, clear=carried is None)
     part_offset = carried["n_chunks"] if carried else 0
-    # Chunks are STRIDED across the wave (i::n) — cheap HTML rows and
-    # expensive image rows mix evenly. Several chunks per worker +
-    # work-stealing dispatch at queue depth 2 (every worker keeps one chunk
-    # queued in its actor mailbox, so finishing a chunk never waits a
-    # driver round-trip) shrinks both the end-of-wave straggler tail and
-    # the inter-chunk dispatch gap — worker idle was ~29 % of the fetch
-    # phase with depth-1 stealing (trace, 28 workers).
-    pool_n = len(fetch_pool)
-    # ~2 chunks per worker, ≥4k rows each: enough stealing to absorb a
-    # slow worker without multiplying the per-chunk seen-shard RPC rounds
-    # (a 2k floor measured +75% dedup RPC time at sf0.1 for ~equal idle)
-    n_chunks = max(1, min(2 * pool_n, max(pool_n, wave.num_rows // 4096)))
-    n_chunks = min(n_chunks, max(1, -(-wave.num_rows // 64)))
-    if wave.num_rows == 0:
-        n_chunks = 0
+    n_chunks = _n_chunks(wave.num_rows, slots, 2 * slots)
+    parts: list = [None] * n_chunks
+    inflight: dict = {}
 
-    def _submit(worker_idx: int, chunk_idx: int):
-        return fetch_pool[worker_idx].process_chunk.remote(
-            wave.take(pa.array(range(chunk_idx, wave.num_rows, n_chunks))),
-            keep,
-            config.fetch_batch_size,
-            sink,
-            part_offset + chunk_idx,
-            config.n_seen_shards,
-        )
+    def collect_one() -> int:
+        done, _ = ray.wait(list(inflight), num_returns=1)
+        slot, c = inflight.pop(done[0])
+        parts[c] = ray.get(done[0])
+        return slot
 
-    def _dispatch_spec() -> dict:
+    for c in range(n_chunks):
+        slot = c % slots if c < 2 * slots else collect_one()
+        inflight[submit(slot, strided(wave, n_chunks, c), sink, part_offset + c)] = (slot, c)
+    spec_state = None
+    if next_spec is not None:
         # queue next epoch's speculative chunks behind this wave's chunks
         # in every worker's FIFO mailbox: a worker that drains its share of
         # this wave rolls straight into epoch+1 work while the driver is
         # still collecting results and doing end-of-epoch bookkeeping
-        spec_sink = {
-            t: store.epoch_dir(t, epoch + 1) for t in ("pages", "images", "documents")
+        spec_sink = _epoch_sink(store, epoch + 1, clear=True)
+        n_sp = _n_chunks(next_spec.num_rows, 1, slots)
+        spec_state = {
+            "table": next_spec,
+            "n_chunks": n_sp,
+            "refs": [
+                submit(c % slots, strided(next_spec, n_sp, c), spec_sink, c)
+                for c in range(n_sp)
+            ],
         }
-        for d in spec_sink.values():
-            if os.path.exists(d):
-                shutil.rmtree(d)
-        n_sp = max(1, min(pool_n, next_spec.num_rows // 4096 or 1))
-        refs = [
-            fetch_pool[c % pool_n].process_chunk.remote(
-                next_spec.take(pa.array(range(c, next_spec.num_rows, n_sp))),
-                keep,
-                config.fetch_batch_size,
-                spec_sink,
-                c,
-                config.n_seen_shards,
-            )
-            for c in range(n_sp)
-        ]
-        return {"table": next_spec, "refs": refs, "n_chunks": n_sp}
-
-    parts = []
-    inflight: dict = {}
-    next_chunk = 0
-    for _round in range(2):  # prime every mailbox two deep
-        for w in range(pool_n):
-            if next_chunk >= n_chunks:
-                break
-            inflight[_submit(w, next_chunk)] = w
-            next_chunk += 1
-    spec_state = None
-    if next_chunk >= n_chunks and next_spec is not None:
-        spec_state = _dispatch_spec()
     while inflight:
-        done, _ = ray.wait(list(inflight.keys()), num_returns=1)
-        worker_idx = inflight.pop(done[0])
-        parts.append(ray.get(done[0]))
-        if next_chunk < n_chunks:
-            inflight[_submit(worker_idx, next_chunk)] = worker_idx
-            next_chunk += 1
-            if next_chunk >= n_chunks and next_spec is not None:
-                spec_state = _dispatch_spec()
+        collect_one()
     if carried is not None:
         # speculation results for THIS wave's head rows (dispatched last
         # epoch; FIFO per actor means they completed before this wave's
         # later chunks on the same worker)
-        parts = [ray.get(r) for r in carried["refs"]] + parts
+        parts = ray.get(carried["refs"]) + parts
     if not parts:
         return None, spec_state
-    lineage = pa.concat_tables([p["lineage"] for p in parts])
     return {
         "fresh": pa.concat_tables([p["fresh"] for p in parts]),
-        "candidates_raw": None,
         "failed": pa.concat_tables([p["failed"] for p in parts]),
-        "lineage_fetch": lineage,
+        "lineage_fetch": pa.concat_tables([p["lineage"] for p in parts]),
         "n_pages": sum(p["n_pages"] for p in parts),
         "n_images": sum(p["n_images"] for p in parts),
         "n_candidates_raw": sum(p["n_candidates_raw"] for p in parts),
-        "write_refs": [],
     }, spec_state
-
-
-def _dedup_candidates(
-    candidates: pa.Table, seen: ShardedSeen, config: CrawlConfig, bloom=None,
-    tracer=None,
-) -> pa.Table:
-    """Admit unseen candidates. Small sets: direct sharded RPC fan-out from
-    the driver (already parallel across shard actors), with an optional
-    driver-held bloom short-circuiting repeat duplicates. Large sets: a
-    ``map_batches(DedupStage)`` task pool so probing itself distributes."""
-    if candidates.num_rows == 0:
-        return _empty_frontier()
-    if candidates.num_rows <= config.driver_wave_threshold:
-        if tracer: tracer.mark("dedup.keys")
-        keys = candidates.column("url_hash").to_numpy().astype(np.uint64)
-        if bloom is not None:
-            if tracer: tracer.mark("dedup.bloom")
-            need = ~bloom.contains_many(keys)
-            unseen = np.zeros(len(keys), dtype=bool)
-            if need.any():
-                if tracer: tracer.mark("dedup.rpc")
-                unseen[need] = seen.check_and_add(keys[need])
-                if tracer: tracer.mark("dedup.bloom_add")
-                bloom.add_many(keys[need])
-        else:
-            if tracer: tracer.mark("dedup.rpc")
-            unseen = seen.check_and_add(keys)
-        if tracer: tracer.mark("dedup.filter")
-        return candidates.filter(pa.array(unseen))
-    dedup = DedupStage(seen, use_bloom=config.use_bloom)
-    fresh = (
-        ray.data.from_arrow(candidates)
-        .map_batches(
-            dedup,
-            batch_format="pyarrow",
-            batch_size=8192,
-            concurrency=config.dedup_concurrency,
-        )
-        .materialize()
-    )
-    batches = list(fresh.iter_batches(batch_size=8192, batch_format="pyarrow"))
-    return pa.concat_tables(batches) if batches else _empty_frontier()
 
 
 def _retry_rows(failed: pa.Table, wave: pa.Table, max_attempts: int) -> pa.Table:

@@ -68,10 +68,12 @@ def read_table(path_or_dir: str) -> pa.Table:
     return pq.read_table(path_or_dir)
 
 
+WRITE_TASK_NUM_CPUS = 0.25
+
 try:
     import ray as _ray
 
-    @_ray.remote(num_cpus=0.25)
+    @_ray.remote(num_cpus=WRITE_TASK_NUM_CPUS)
     def _write_task(data: pa.Table, directory: str) -> str:
         if os.path.exists(directory):
             shutil.rmtree(directory)

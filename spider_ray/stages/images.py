@@ -170,27 +170,6 @@ class JpegTranscode:
         )
 
 
-def frame_sample_stub(*_args, **_kwargs):
-    """ffmpeg-container frame sampling is not possible here; the WORKING
-    path is stages.media.FrameSample over the SRV1 frame container (real
-    per-frame decode + phash, header-seek striding)."""
-    raise NotImplementedError(
-        "mp4/webm decode requires pyav/ffmpeg — not in this container. "
-        "Use spider_ray.stages.media.FrameSample (SRV1 container) for the "
-        "real, tested frame-sampling stage behind the same seam."
-    )
-
-
-def audio_features_stub(*_args, **_kwargs):
-    """Compressed-audio decode is not possible here; the WORKING path is
-    stages.media.AudioFeatures over real stdlib-decoded PCM WAV."""
-    raise NotImplementedError(
-        "mp3/ogg decode requires soundfile/ffmpeg — not in this container. "
-        "Use spider_ray.stages.media.AudioFeatures (16-bit mono WAV, real "
-        "stdlib decode) for the real, tested audio-features stage."
-    )
-
-
 class Augment:
     """Deterministic per-image training augmentation: center-crop to a
     fraction, optional horizontal flip and brightness shift chosen by

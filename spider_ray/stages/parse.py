@@ -3,20 +3,20 @@
 - ``parse_links_batch``: fills the ``links`` list<struct> column for HTML
   pages (reference extractHtmlLinks, src/shared/links.ts:17-48, applied at
   the distributed pages table instead of inside the adapter).
-- ``extract_candidates_batch``: explodes links into frontier-candidate rows
-  with canonical URL, uint64 hash, host, depth+1, deterministic priority.
 - ``to_documents_batch``: the 3-way scrapeDocument branch
   (src/scrapeDocument.ts:249-320): direct-download → detector redirect →
   PDF/HTML text+metadata.
-- ``images_from_pages_batch``: image rows (input-hint schema) from fetched
-  binary pages + the caption carried on the discovering link.
 
 All operate on ``pyarrow`` batches; HTML parsing is per-row Python (parsing
-is not vectorizable) but everything around it is columnar.
+is not vectorizable) but everything around it is columnar. The crawl's
+candidate and image assembly is the fused chunk routine
+(pipelines/crawl.py ``_fused_chunk``), built on the row-level
+``document_row`` / ``image_row`` / ``priority_from_hash`` below.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 from ..functions.detectors import detect_document_url
@@ -24,7 +24,6 @@ from ..functions.imagecodec import decode_image, phash64, sniff_format
 from ..functions.links import extract_html_links
 from ..functions.mime import infer_content_type
 from ..functions.text import extract_html_metadata, looks_like_pdf, strip_html_to_text
-from ..functions.urls import canonicalize_url, host_of, is_valid_url, url_hash64
 from ..schemas import DOCUMENTS_SCHEMA, PAGES_SCHEMA
 
 
@@ -37,6 +36,13 @@ def priority_of(canonical_url: str) -> float:
     import hashlib
 
     return (int(hashlib.md5(canonical_url.encode()).hexdigest()[:8], 16) % 1000) / 1000.0
+
+
+def priority_from_hash(url_hashes: np.ndarray) -> np.ndarray:
+    """``priority_of`` for a column of ``url_hash64`` values, with no second
+    md5: both read the same digest, and its first 8 hex chars are the top
+    32 bits of the 64-bit hash."""
+    return (np.asarray(url_hashes, dtype=np.uint64) >> np.uint64(32)) % np.uint64(1000) / 1000.0
 
 
 def parse_links_batch(batch: pa.Table) -> pa.Table:
@@ -74,49 +80,6 @@ def parse_links_batch(batch: pa.Table) -> pa.Table:
         batch.schema.get_field_index("link_count"),
         "link_count",
         pa.array(counts, pa.int32()),
-    )
-
-
-def extract_candidates_batch(batch: pa.Table) -> pa.Table:
-    """pages → candidate frontier rows (url, url_hash, host, priority,
-    depth, parent_url_hash); invalid/external-scheme hrefs dropped."""
-    links_lists = batch.column("links").to_pylist()
-    depths = batch.column("depth").to_pylist()
-    parents = batch.column("url_hash").to_pylist()
-    urls: list[str] = []
-    hashes: list[int] = []
-    hosts: list[str] = []
-    priorities: list[float] = []
-    out_depths: list[int] = []
-    out_parents: list[int] = []
-    texts: list[str | None] = []
-    for links, depth, parent in zip(links_lists, depths, parents):
-        if not links:
-            continue
-        for link in links:
-            href = link["href"]
-            if not is_valid_url(href):
-                continue
-            canonical = canonicalize_url(href)
-            urls.append(canonical)
-            hashes.append(url_hash64(canonical))
-            hosts.append(host_of(canonical))
-            priorities.append(priority_of(canonical))
-            out_depths.append((depth or 0) + 1)
-            out_parents.append(parent)
-            texts.append(link.get("text"))
-    return pa.table(
-        {
-            "url": pa.array(urls, pa.string()),
-            "url_hash": pa.array(hashes, pa.uint64()),
-            "host": pa.array(hosts, pa.string()),
-            "priority": pa.array(priorities, pa.float64()),
-            "depth": pa.array(out_depths, pa.int32()),
-            "discovered_at": pa.nulls(len(urls), pa.timestamp("ms")),
-            "parent_url_hash": pa.array(out_parents, pa.uint64()),
-            "attempts": pa.array([0] * len(urls), pa.int32()),
-            "anchor_text": pa.array(texts, pa.string()),
-        }
     )
 
 
@@ -231,32 +194,3 @@ def to_documents_batch(batch: pa.Table, include_html: bool = True) -> pa.Table:
     if not rows:
         return DOCUMENTS_SCHEMA.empty_table()
     return pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA)
-
-
-def images_from_pages_batch(batch: pa.Table) -> pa.Table:
-    """Binary image pages → images rows (input-hint schema).
-
-    The caption is the ``anchor_text`` carried on the frontier row that
-    discovered the image (reference Link.text → caption, SURVEY.md §1.1),
-    falling back to the filename. Decode runs here (real for our codecs) to
-    fill w/h/phash — the Ray-side plumbing a real libjpeg/libpng stage
-    would use, at the same seam.
-    """
-    from ..schemas import IMAGES_SCHEMA
-
-    urls = batch.column("url").to_pylist()
-    bodies = batch.column("body_bytes").to_pylist()
-    statuses = batch.column("status").to_pylist()
-    anchors = (
-        batch.column("anchor_text").to_pylist()
-        if "anchor_text" in batch.column_names
-        else [None] * len(urls)
-    )
-    rows = []
-    for url, body, status, anchor in zip(urls, bodies, statuses, anchors):
-        row = image_row(url, body, status, anchor)
-        if row is not None:
-            rows.append(row)
-    if not rows:
-        return IMAGES_SCHEMA.empty_table()
-    return pa.Table.from_pylist(rows, schema=IMAGES_SCHEMA)

@@ -116,7 +116,10 @@ class HostBudgetState:
         )
 
 
-@ray.remote(num_cpus=0.1)
+POLITENESS_NUM_CPUS = 0.1
+
+
+@ray.remote(num_cpus=POLITENESS_NUM_CPUS)
 class HostBudgetActor:
     def __init__(
         self,

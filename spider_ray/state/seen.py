@@ -129,10 +129,14 @@ class SeenShardState:
         }
 
 
-@ray.remote(num_cpus=0.1)
+# probe work is light and bursty: many shards co-schedule per core without
+# starving fetch actors
+SHARD_NUM_CPUS = 0.1
+
+
+@ray.remote(num_cpus=SHARD_NUM_CPUS)
 class SeenShardActor:
-    """One shard of the URL-seen set. num_cpus=0.1: probe work is light and
-    bursty; many shards co-schedule per core without starving fetch actors."""
+    """One shard of the URL-seen set."""
 
     def __init__(self, capacity: int, exact: bool):
         self.state = SeenShardState(capacity, exact)

@@ -60,7 +60,6 @@ def small_crawl(ray_session, tmp_path_factory):
         exact_seen=True,
         use_bloom=False,
         fetch_concurrency=2,
-        dedup_concurrency=2,
     )
     result = run_crawl(config)
     return cfg, config, result

@@ -1,8 +1,10 @@
 """Config-path coverage: max_depth, keep_page_content, Dataset wave-select."""
 
+import os
 from dataclasses import replace
 
 import pyarrow.compute as pc
+import pytest
 
 from spider_ray.pipelines.crawl import CrawlConfig, run_crawl
 from spider_ray.sources.fixtures import MockWebConfig, seed_urls
@@ -99,3 +101,29 @@ def test_fully_distributed_path_equivalent_and_resumable(ray_session, tmp_path):
         == a_store.read_all("order").to_pydict()
     )
     assert resumed.seen_size == dist.seen_size
+
+
+def test_cpu_budget_without_room_for_a_worker_raises(ray_session, tmp_path):
+    """4 seen shards (0.4) + 2 politeness actors (0.2) + a checkpoint write
+    (0.25) + one 3.5-CPU fetch worker exceed the session's 4 CPUs: the
+    crawl must refuse before starting any actor instead of waiting forever."""
+    config = _base(tmp_path, "too_big", fetch_num_cpus=3.5)
+    with pytest.raises(ValueError, match=r"needs 4\.35 CPUs .* has 4\.00"):
+        run_crawl(config)
+    assert not os.path.exists(config.out_dir)
+
+
+def test_fetch_slots_count_every_reservation(monkeypatch):
+    from spider_ray.pipelines import crawl
+
+    monkeypatch.setattr(crawl.ray, "cluster_resources", lambda: {"CPU": 2.0})
+    cfg = CrawlConfig(
+        out_dir="unused", seeds=[], n_seen_shards=2, fetch_num_cpus=0.5,
+        fetch_concurrency=1,
+    )
+    assert crawl._fetch_slots(cfg, n_politeness=1) == 1
+    # (2 - 2 x 0.1 - 0.1 - 0.25) / 0.5 = 2.9 workers fit
+    assert crawl._fetch_slots(replace(cfg, fetch_concurrency=8), n_politeness=1) == 2
+    monkeypatch.setattr(crawl.ray, "cluster_resources", lambda: {"CPU": 1.0})
+    with pytest.raises(ValueError, match="needs 1.05 CPUs"):
+        crawl._fetch_slots(cfg, n_politeness=1)

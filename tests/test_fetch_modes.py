@@ -7,7 +7,7 @@ from spider_ray.sources.fixtures import MockWebConfig, seed_urls
 from spider_ray.sources.storage import EpochStore
 
 
-def test_pool_and_dataset_modes_equivalent(ray_session, tmp_path):
+def _assert_modes_equivalent(tmp_path, **overrides):
     cfg = MockWebConfig(n_pages=120, n_hosts=7, img_every=5)
     base = CrawlConfig(
         out_dir=str(tmp_path / "pool"),
@@ -17,6 +17,7 @@ def test_pool_and_dataset_modes_equivalent(ray_session, tmp_path):
         exact_seen=True,
         fetch_concurrency=2,
         fetch_mode="pool",
+        **overrides,
     )
     pool_res = run_crawl(base)
     ds_res = run_crawl(
@@ -34,6 +35,18 @@ def test_pool_and_dataset_modes_equivalent(ray_session, tmp_path):
     pa_ = a.read_all("pages").sort_by("url").select(["url", "status", "link_count"])
     pb_ = b.read_all("pages").sort_by("url").select(["url", "status", "link_count"])
     assert pa_.to_pydict() == pb_.to_pydict()  # values (nullability may differ)
+    return a
+
+
+def test_pool_and_dataset_modes_equivalent(ray_session, tmp_path):
+    _assert_modes_equivalent(tmp_path)
+
+
+def test_pool_and_dataset_modes_equivalent_depth_limited(ray_session, tmp_path):
+    """Depth filtering happens only in the workers' admission step; both
+    submit paths must apply it identically."""
+    store = _assert_modes_equivalent(tmp_path, max_depth=2)
+    assert max(store.read_all("order").column("depth").to_pylist()) == 2
 
 
 def test_browser_shaped_resolver_plugs_into_the_crawl(ray_session, tmp_path):

@@ -3,7 +3,6 @@ SRV1 frame sampling with real per-frame decode."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 import ray
 
@@ -87,15 +86,6 @@ def test_frame_sample_stage(ray_session):
     # frames of one video are near-dups but not identical → phash differs
     # somewhere across the sampled set
     assert out.groupby("video_id")["frame_phash"].nunique().ge(1).all()
-
-
-def test_stubs_point_to_real_stages():
-    from spider_ray.stages.images import audio_features_stub, frame_sample_stub
-
-    with pytest.raises(NotImplementedError, match="media.FrameSample"):
-        frame_sample_stub()
-    with pytest.raises(NotImplementedError, match="media.AudioFeatures"):
-        audio_features_stub()
 
 
 def test_augment_stage_deterministic_and_correct(ray_session):

@@ -228,6 +228,20 @@ def test_deletion_neighborhood_complete(s, d):
         assert vs & _del_variants(t, d), (s, t)
 
 
+@given(st.lists(urls(), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_priority_from_hash_matches_priority_of(raw):
+    """The crawl derives candidate priority from the url_hash column; it
+    must equal the md5-based SQL reference bit for bit."""
+    import numpy as np
+
+    from spider_ray.stages.parse import priority_from_hash, priority_of
+
+    canon = [canonicalize_url(u) for u in raw]
+    hashes = np.array([url_hash64(u) for u in canon], dtype=np.uint64)
+    assert priority_from_hash(hashes).tolist() == [priority_of(u) for u in canon]
+
+
 @given(st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=40))
 @settings(max_examples=100, deadline=None)
 def test_md5_prefix_mod_matches_per_value(values):

@@ -1,4 +1,5 @@
-"""Direct coverage of the sharded seen-set client + DedupStage."""
+"""Direct coverage of the sharded seen-set client and the crawl's
+worker-side admission routine."""
 
 import numpy as np
 import pyarrow as pa
@@ -6,12 +7,11 @@ import pyarrow as pa
 from spider_ray.state.seen import ShardedSeen
 
 
-def _cand(hashes):
-    n = len(hashes)
+def _cand(hashes, depths=None):
     return pa.table(
         {
-            "url": pa.array([f"http://x.test/{h}" for h in hashes], pa.string()),
             "url_hash": pa.array(hashes, pa.uint64()),
+            "depth": pa.array(depths or [1] * len(hashes), pa.int32()),
         }
     )
 
@@ -31,13 +31,22 @@ def test_sharded_seen_client(ray_session):
     assert not seen2.check_and_add(np.array([10, 11], dtype=np.uint64)).any()
 
 
-def test_dedup_stage_batch(ray_session):
-    from spider_ray.stages.dedup import DedupStage
+def test_chunk_admission_with_bloom(ray_session):
+    """First occurrence wins within a chunk, the worker's bloom skips the
+    RPC for keys it already probed, and depth filtering runs before any
+    probe."""
+    from spider_ray.pipelines.crawl import _chunk_dedup
+    from spider_ray.state.bloom import BloomFilter
 
     seen = ShardedSeen.create(n_shards=2, capacity_per_shard=4096, exact=True)
-    stage = DedupStage(seen, use_bloom=True, bloom_capacity=4096)
-    out1 = stage(_cand([1, 2, 3, 2]))
+    bloom = BloomFilter(4096, 0.001)
+    out1 = _chunk_dedup(_cand([1, 2, 3, 2]), seen, bloom, None)
     assert sorted(out1.column("url_hash").to_pylist()) == [1, 2, 3]
-    out2 = stage(_cand([2, 3, 4]))  # bloom short-circuits 2 and 3
+    checks = seen.stats()["dedup_checks"]
+    out2 = _chunk_dedup(_cand([2, 3, 4]), seen, bloom, None)
     assert out2.column("url_hash").to_pylist() == [4]
-    assert stage(_cand([])).num_rows == 0
+    assert seen.stats()["dedup_checks"] == checks + 1  # 2 and 3 never probed
+    assert _chunk_dedup(_cand([]), seen, bloom, None).num_rows == 0
+    deep = _chunk_dedup(_cand([5, 6], depths=[3, 2]), seen, None, 2)
+    assert deep.column("url_hash").to_pylist() == [6]
+    assert not seen.probe(np.array([5], dtype=np.uint64)).any()

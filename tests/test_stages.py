@@ -1,14 +1,11 @@
 import pyarrow as pa
 
+from spider_ray.pipelines.crawl import _fused_chunk
 from spider_ray.schemas import FRONTIER_SCHEMA, IMAGES_SCHEMA, PAGES_SCHEMA
 from spider_ray.sources.fixtures import MockWebConfig, image_url, page_url
+from spider_ray.sources.storage import read_table
 from spider_ray.stages.fetch import FetchStage
-from spider_ray.stages.parse import (
-    extract_candidates_batch,
-    images_from_pages_batch,
-    parse_links_batch,
-    to_documents_batch,
-)
+from spider_ray.stages.parse import parse_links_batch, priority_of, to_documents_batch
 
 CFG = MockWebConfig(n_pages=100, n_hosts=7)
 
@@ -23,6 +20,14 @@ def _wave(urls, anchors=None):
             "anchor_text": pa.array(anchors or [None] * n, pa.string()),
         }
     )
+
+
+def _fused(wave, tmp_path):
+    """The crawl's fused chunk routine over ``wave``, admitting every
+    candidate; returns its result and the partition dirs it wrote."""
+    stage = FetchStage(web_config=CFG, adapter="simple")
+    sink = {t: str(tmp_path / t) for t in ("pages", "images", "documents")}
+    return _fused_chunk(stage, wave, False, sink, 0, 4, lambda cands: cands), sink
 
 
 def test_fetch_stage_basic_and_cache():
@@ -48,7 +53,7 @@ def test_fetch_adapter_parity_redirect_semantics():
     assert dom.column("strategy_spider").to_pylist() == ["dom"]
 
 
-def test_parse_and_candidates():
+def test_parse_and_candidates(tmp_path):
     stage = FetchStage(web_config=CFG, adapter="simple")
     pages = parse_links_batch(stage(_wave([page_url(0, CFG)])))
     links = pages.column("links").to_pylist()[0]
@@ -58,9 +63,15 @@ def test_parse_and_candidates():
     assert image_url(0, CFG) in hrefs
     assert pages.column("link_count").to_pylist()[0] == len(hrefs)
 
-    candidates = extract_candidates_batch(pages)
+    out, _ = _fused(_wave([page_url(0, CFG)]), tmp_path)
+    candidates = out["fresh"]
+    assert out["n_candidates_raw"] == len(hrefs)
     assert candidates.select(FRONTIER_SCHEMA.names).num_rows == len(hrefs)
     assert set(candidates.column("depth").to_pylist()) == {1}
+    # the hash-derived priority column equals the SQL-documented reference
+    assert candidates.column("priority").to_pylist() == [
+        priority_of(u) for u in candidates.column("url").to_pylist()
+    ]
     cap_row = candidates.filter(
         pa.compute.equal(candidates.column("url"), image_url(0, CFG))
     )
@@ -69,13 +80,14 @@ def test_parse_and_candidates():
     ]
 
 
-def test_images_from_pages():
-    stage = FetchStage(web_config=CFG, adapter="simple")
+def test_images_from_pages(tmp_path):
     batch = _wave(
         [image_url(0, CFG), image_url(5, CFG), page_url(1, CFG)],
         anchors=["cap-png", "cap-jpg", None],
     )
-    images = images_from_pages_batch(stage(batch))
+    out, sink = _fused(batch, tmp_path)
+    images = read_table(sink["images"])
+    assert out["n_images"] == 2
     assert images.schema.names == list(IMAGES_SCHEMA.names)
     assert images.num_rows == 2
     assert images.column("fmt").to_pylist() == ["png", "jpeg"]
