@@ -40,6 +40,19 @@ def _init_ray() -> None:
         ray.init(include_dashboard=False, logging_level="ERROR")
 
 
+def _emit(payload: dict) -> None:
+    """Print the command's one JSON line as the LAST line of stdout. The
+    Ray session is shut down first: its error-listener thread prints
+    raylet warnings (e.g. "N PYTHON worker processes have been started")
+    to stdout asynchronously, and one landing after the payload would
+    break the last-line contract."""
+    import ray
+
+    if ray.is_initialized():
+        ray.shutdown()
+    print(json.dumps(payload))
+
+
 def _cmd_crawl(args: argparse.Namespace) -> int:
     from spider_ray.pipelines.crawl import CrawlConfig, run_crawl
     from spider_ray.sources.fixtures import MockWebConfig, seed_urls
@@ -77,18 +90,16 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         pipeline_waves=args.scale_mode,
     )
     result = run_crawl(config, resume=args.resume)
-    print(
-        json.dumps(
-            {
-                "out_dir": result.out_dir,
-                "epochs": result.epochs,
-                "pages_fetched": result.pages_fetched,
-                "images_written": result.images_written,
-                "dedup_checks": result.dedup_checks,
-                "dedup_hits": result.dedup_hits,
-                "seen_size": result.seen_size,
-            }
-        )
+    _emit(
+        {
+            "out_dir": result.out_dir,
+            "epochs": result.epochs,
+            "pages_fetched": result.pages_fetched,
+            "images_written": result.images_written,
+            "dedup_checks": result.dedup_checks,
+            "dedup_hits": result.dedup_hits,
+            "seen_size": result.seen_size,
+        }
     )
     return 0
 
@@ -118,7 +129,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if callable(schema):  # Ray Dataset: schema is a method
         schema = schema()
     names = list(schema.names) if schema is not None else []
-    print(json.dumps({"query": args.name, "rows": int(num_rows), "columns": names}))
+    _emit({"query": args.name, "rows": int(num_rows), "columns": names})
     return 0
 
 
@@ -158,7 +169,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             batch.column("sum(n)").to_pylist(),
         ):
             counts[kind] = int(n)
-    print(json.dumps({"old": args.old, "new": args.new, "counts": counts}))
+    _emit({"old": args.old, "new": args.new, "counts": counts})
     return 0
 
 

@@ -25,9 +25,13 @@ fetch scheduler". Per wave (epoch):
    tests/test_fetch_modes.py; ≤1.1× pool wall).
 3. **Frontier update + checkpoint** — fresh candidates + politeness
    deferrals + bounded 5xx retries form the next frontier; per-epoch order
-   + lineage tables, and frontier + seen snapshots every
+   + lineage tables (+ the url_hash of robots-dropped rows), and a
+   frontier snapshot plus the seen shards' counters every
    ``checkpoint_interval`` epochs (writes are parallel Ray tasks overlapped
-   with the next wave's fetch). An interrupted crawl resumes from the last
+   with the next wave's fetch). The seen set itself is never written: every
+   admitted key is fetched (order), waiting (frontier) or robots-dropped,
+   so a resume rebuilds the shards from those tables
+   (``_rebuild_seen``). An interrupted crawl resumes from the last
    completed checkpoint, replaying at most interval-1 waves idempotently
    (kill-and-resume tests in tests/).
 
@@ -57,6 +61,7 @@ primed two deep, so the end-of-wave barrier tail is one small chunk.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -90,7 +95,11 @@ class CrawlConfig:
     adapter: str = "simple"
     n_seen_shards: int = 4
     seen_capacity_per_shard: int = 1 << 20
-    exact_seen: bool = True  # conformance default; False → cuckoo-only at scale
+    # conformance default; False → cuckoo-only at scale. A resume rebuilds
+    # the shards from the checkpointed keys: exact mode gets the identical
+    # set back; cuckoo-only mode keeps every admitted key, but its false
+    # positives may differ after a resume if a shard overflowed its capacity
+    exact_seen: bool = True
     use_bloom: bool = False  # conformance default; True → bloom pre-filter
     wave_k: int = 1_000_000
     max_per_host_per_wave: int = 1_000_000_000
@@ -127,9 +136,10 @@ class CrawlConfig:
     # implies fetch_cache
     fetch_cache_dir: str | None = None
     fetch_cache_ttl_ms: int | None = None
-    # frontier+seen checkpoint every K epochs: resume replays ≤K-1 epochs
-    # deterministically/idempotently; K>1 amortizes the frontier serialize
-    # (the frontier is the largest driver-held table at scale)
+    # frontier checkpoint (+ seen counters in the manifest) every K epochs:
+    # resume replays ≤K-1 epochs deterministically/idempotently and
+    # rebuilds the seen set from order/dropped/frontier; K>1 amortizes the
+    # frontier serialize (the largest driver-held table at scale)
     checkpoint_interval: int = 1
     # -- the network/browser seam ------------------------------------------
     # Zero-arg callable returning a RESOLVER — constructed ONCE per fetch
@@ -1065,14 +1075,19 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     manifest = store.manifest()
     if resume and manifest["completed_epochs"]:
         last = store.last_epoch()
-        seen.restore_table(store.read("seen", last))
         fdir = store.epoch_dir("frontier", last)
         if _dir_rows(fdir) > config.driver_wave_threshold:
             # big checkpointed frontier: resume WITHOUT materializing it —
             # the partition dir becomes the frontier's distributed bulk
             frontier = Frontier.from_dir(fdir)
+            frontier_keys = (
+                t.column("url_hash")
+                for t in store.read_parts("frontier", last, ["url_hash"])
+            )
         else:
             frontier = Frontier.from_table(store.read("frontier", last))
+            frontier_keys = [frontier.table.column("url_hash")]
+        _rebuild_seen(seen, store, last, frontier_keys)
         start_epoch = last + 1
     else:
         seed_table = frontier_from_seeds(config.seeds)
@@ -1088,7 +1103,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     import os as _os
     import shutil as _shutil
 
-    pending_writes: tuple[int, list] | None = None
+    pending_writes: tuple[int, list, list] | None = None
     unflushed_refs: list = []
     # split-wave pipelining is only sound when the persistent pool exists,
     # robots can't filter a dispatched row, and the per-host cap can never
@@ -1147,11 +1162,15 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
                 frontier, rest_k, config.max_per_host_per_wave
             )
             frontier.cleanup()
+        dropped = None
         if config.respect_robots:  # mutually exclusive with pipelining
             hosts = wave_rest.column("host").to_pylist()
             urls = wave_rest.column("url").to_pylist()
             politeness.ensure_robots(hosts, web.robots_txt)
             allowed = politeness.allowed(hosts, urls)
+            # disallowed rows leave the crawl here: they are in neither
+            # order nor frontier, so their keys are logged for the rebuild
+            dropped = wave_rest.filter(pa.array(~allowed)).select(["url_hash"])
             wave_rest = wave_rest.filter(pa.array(allowed))
             # Crawl-delay hosts: keep the first budget_h rows (wave order
             # = priority order) and DEFER the overflow to the next wave —
@@ -1192,6 +1211,8 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             if deferred.count == 0:
                 break
             # everything admissible this wave was robots-filtered; advance
+            # (no order table: the drop log rides with the next checkpoint)
+            unflushed_refs += _log_dropped(store, epoch, dropped)
             frontier = deferred
             epoch += 1
             continue
@@ -1234,9 +1255,9 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         # previous epoch's checkpoint writes overlapped with this fetch;
         # gather them now and only then mark that epoch complete
         if pending_writes is not None:
-            prev_epoch, prev_refs = pending_writes
+            prev_epoch, prev_refs, prev_counters = pending_writes
             ray.get(prev_refs)
-            store.mark_epoch_complete(prev_epoch, config.key())
+            store.mark_epoch_complete(prev_epoch, config.key(), prev_counters)
             pending_writes = None
 
         # ---- crawl order (epoch, seq) -----------------------------------
@@ -1251,6 +1272,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             }
         )
         write_refs = [store.write_async("order", epoch, order_table)]
+        write_refs += _log_dropped(store, epoch, dropped)
 
         # ---- fresh candidates (admitted by the workers) → next frontier --
         fresh_table = meta["fresh"]
@@ -1287,33 +1309,32 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             # a checkpoint taken while speculation is in flight must include
             # the speculated rows — epoch+1 is incomplete, so a resume from
             # this checkpoint re-fetches them (idempotent: their epoch+1
-            # partition files are rebuilt from scratch on re-run)
+            # partition files are rebuilt from scratch on re-run). The
+            # candidates those chunks already admitted are in no table of
+            # this checkpoint, so the seen set rebuilt from it lacks them
+            # and the re-fetch admits them again; a seen snapshot taken
+            # here would hold them and lose them for good. The counters may
+            # include those chunks' probes, which the re-fetch repeats.
             unflushed_refs.extend(
                 _checkpoint_frontier(store, epoch, _spec_view(frontier, spec_state))
             )
-            unflushed_refs.append(
-                store.write_async("seen", epoch, seen.snapshot_table())
-            )
-            pending_writes = (epoch, unflushed_refs)
+            pending_writes = (epoch, unflushed_refs, stats_after["counters"])
             unflushed_refs = []
         epoch += 1
 
     if pending_writes is not None:
-        prev_epoch, prev_refs = pending_writes
+        prev_epoch, prev_refs, prev_counters = pending_writes
         ray.get(prev_refs)
-        store.mark_epoch_complete(prev_epoch, config.key())
+        store.mark_epoch_complete(prev_epoch, config.key(), prev_counters)
         pending_writes = None
+    final_stats = seen.stats()
     if unflushed_refs or (epoch > start_epoch and store.last_epoch() != epoch - 1):
         # final (partial-interval) checkpoint so the finished state is durable
         unflushed_refs.extend(_checkpoint_frontier(store, epoch - 1, frontier))
-        unflushed_refs.append(
-            store.write_async("seen", epoch - 1, seen.snapshot_table())
-        )
         ray.get(unflushed_refs)
-        store.mark_epoch_complete(epoch - 1, config.key())
+        store.mark_epoch_complete(epoch - 1, config.key(), final_stats["counters"])
         unflushed_refs = []
     store.mark_done()
-    final_stats = seen.stats()
     # Release the crawl's actors NOW rather than when Ray reaps the
     # out-of-scope handles: the pool alone reserves fetch_concurrency ×
     # fetch_num_cpus CPUs, which would starve whatever the caller runs next
@@ -1353,6 +1374,32 @@ def _wave_cut_driver(
         frontier.to_table(), wave_k, max_per_host
     )
     return wave, Frontier.from_table(deferred_tbl)
+
+
+def _rebuild_seen(seen: ShardedSeen, store: EpochStore, last: int, frontier_keys) -> None:
+    """Rebuild the seen shards for a resume from checkpoint ``last``. Every
+    key the crawl admitted up to then is in one of its tables: fetched
+    (``order`` ≤ last), robots-dropped (``dropped`` ≤ last) or waiting
+    (``frontier_keys``, the checkpoint frontier's url_hash column, batch by
+    batch). Only the url_hash column is read; the shards' counters come
+    from the manifest, since a load never counts."""
+    logged = (
+        store.read(table, e, ["url_hash"]).column("url_hash")
+        for table in ("order", "dropped")
+        for e in store.epochs(table, last)
+    )
+    seen.load(
+        (keys.to_numpy() for keys in itertools.chain(logged, frontier_keys)),
+        store.seen_counters(last),
+    )
+
+
+def _log_dropped(store: EpochStore, epoch: int, dropped: pa.Table | None) -> list:
+    """Write the epoch's robots-dropped url_hashes (only when there are
+    any); returns the write refs for the checkpoint to await."""
+    if dropped is None or dropped.num_rows == 0:
+        return []
+    return [store.write_async("dropped", epoch, dropped)]
 
 
 def _spec_view(frontier: Frontier, spec_state: dict | None) -> Frontier:

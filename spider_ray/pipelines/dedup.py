@@ -1070,7 +1070,7 @@ def dedup_against_reference(
     )
 
     def load(batch: pa.Table) -> pa.Table:
-        seen.add(_md5hex_to_u64(batch.column(hash_col).to_pylist()))
+        seen.load([_md5hex_to_u64(batch.column(hash_col).to_pylist())])
         return pa.table({"n": pa.array([batch.num_rows], pa.int64())})
 
     if ref_ds is not None:
@@ -1081,9 +1081,7 @@ def dedup_against_reference(
     else:
         step = 1 << 20
         for lo in range(0, n_ref, step):
-            seen.add(
-                _md5hex_to_u64(ref_hashes.slice(lo, step).to_pylist())
-            )
+            seen.load([_md5hex_to_u64(ref_hashes.slice(lo, step).to_pylist())])
 
     def keep_new_sharded(batch: pa.Table) -> pa.Table:
         mask = seen.probe(_md5hex_to_u64(batch.column(hash_col).to_pylist()))

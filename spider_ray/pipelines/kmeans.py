@@ -39,6 +39,16 @@ def _mat(batch: pa.Table, vec_col: str) -> np.ndarray:
     return vectors_to_matrix(batch.column(vec_col))
 
 
+def _block_tables(ds) -> list[pa.Table]:
+    """The blocks of ``ds`` as Arrow tables, from ONE execution.
+    ``to_arrow_refs`` on a lazy map_batches dataset runs it a second time
+    to fetch the schema and stops that run after its first block,
+    cancelling the rest; Ray 2.49's driver can abort on a check failure
+    (reference_count.cc) when such a cancel meets a task still resolving
+    its arguments. A materialized dataset carries its schema."""
+    return ray.get(ds.materialize().to_arrow_refs())
+
+
 def deterministic_init(ds, k: int, vec_col: str = "embedding", id_col: str = "vec_id"):
     """k seed vectors: smallest md5(id) across the corpus (partial top-k
     per batch, tiny driver merge)."""
@@ -58,7 +68,7 @@ def deterministic_init(ds, k: int, vec_col: str = "embedding", id_col: str = "ve
         )
 
     parts = pa.concat_tables(
-        ray.get(ds.map_batches(local_k, batch_format="pyarrow").to_arrow_refs())
+        _block_tables(ds.map_batches(local_k, batch_format="pyarrow"))
     )
     order = sorted(
         range(parts.num_rows),
@@ -115,7 +125,7 @@ def kmeans_fit(
             )
 
         parts = pa.concat_tables(
-            ray.get(ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs())
+            _block_tables(ds.map_batches(partial, batch_format="pyarrow"))
         )
         dim = centroids.shape[1]
         sums = np.zeros((k, dim), dtype=np.int64)

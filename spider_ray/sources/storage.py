@@ -47,25 +47,32 @@ def write_table(table: pa.Table, directory: str, filename: str = "part-0.parquet
     return path
 
 
-def read_table(path_or_dir: str) -> pa.Table:
+def _part_paths(directory: str) -> list[str]:
+    """A table directory's part files, in name order (Lance parts when the
+    gated Lance path wrote them, else parquet)."""
+    names = sorted(os.listdir(directory))
+    if HAVE_LANCE:
+        lance_parts = [os.path.join(directory, f) for f in names if f.endswith(".lance")]
+        if lance_parts:
+            return lance_parts
+    return [os.path.join(directory, f) for f in names if f.endswith(".parquet")]
+
+
+def _read_part(path: str, columns: list[str] | None = None) -> pa.Table:
+    if path.endswith(".lance"):
+        table = lance.dataset(path).to_table()
+        return table.select(columns) if columns else table
+    return pq.read_table(path, columns=columns)
+
+
+def read_table(path_or_dir: str, columns: list[str] | None = None) -> pa.Table:
+    """One table from a part file or a directory of parts; ``columns``
+    projects the read (only those columns are decoded)."""
     if os.path.isdir(path_or_dir):
-        if HAVE_LANCE:
-            lance_parts = sorted(
-                os.path.join(path_or_dir, f)
-                for f in os.listdir(path_or_dir)
-                if f.endswith(".lance")
-            )
-            if lance_parts:
-                return pa.concat_tables(
-                    [lance.dataset(p).to_table() for p in lance_parts]
-                )
-        parts = sorted(
-            os.path.join(path_or_dir, f)
-            for f in os.listdir(path_or_dir)
-            if f.endswith(".parquet")
+        return pa.concat_tables(
+            [_read_part(p, columns) for p in _part_paths(path_or_dir)]
         )
-        return pa.concat_tables([pq.read_table(p) for p in parts])
-    return pq.read_table(path_or_dir)
+    return _read_part(path_or_dir, columns)
 
 
 WRITE_TASK_NUM_CPUS = 0.25
@@ -86,13 +93,18 @@ except ImportError:  # pragma: no cover
 class EpochStore:
     """Checkpoint layout for a crawl run.
 
-    ``root/manifest.json`` records completed epochs; per-epoch directories
-    hold frontier / seen / pages / images / documents / lineage / order
-    tables. Epoch writes are idempotent (directory replaced wholesale), so
-    a crash mid-epoch re-runs that epoch from the previous checkpoint.
+    ``root/manifest.json`` records completed epochs and, per completed
+    epoch, the seen shards' ``(dedup_checks, dedup_hits)`` counters;
+    per-epoch directories hold frontier / pages / images / documents /
+    lineage / order tables, plus a ``dropped`` table (url_hash of the
+    robots-filtered rows) for each epoch that dropped any. No seen-set
+    snapshot is stored: a resume rebuilds the shards from the url_hash of
+    order, dropped and frontier (``run_crawl``). Epoch writes are
+    idempotent (directory replaced wholesale), so a crash mid-epoch re-runs
+    that epoch from the previous checkpoint.
     """
 
-    TABLES = ("frontier", "seen", "pages", "images", "documents", "lineage", "order")
+    TABLES = ("frontier", "pages", "images", "documents", "lineage", "order", "dropped")
 
     def __init__(self, root: str):
         self.root = root
@@ -117,12 +129,22 @@ class EpochStore:
         done = self.manifest()["completed_epochs"]
         return max(done) if done else None
 
-    def mark_epoch_complete(self, epoch: int, config_key: str) -> None:
+    def mark_epoch_complete(
+        self, epoch: int, config_key: str, seen_counters: list | None = None
+    ) -> None:
+        """Record ``epoch`` as a completed checkpoint; ``seen_counters`` is
+        the per-shard ``[dedup_checks, dedup_hits]`` list at that point."""
         m = self.manifest()
         if epoch not in m["completed_epochs"]:
             m["completed_epochs"].append(epoch)
         m["config"] = config_key
+        if seen_counters is not None:
+            m.setdefault("seen_counters", {})[str(epoch)] = seen_counters
         self._write_manifest(m)
+
+    def seen_counters(self, epoch: int) -> list | None:
+        """Per-shard seen counters recorded with checkpoint ``epoch``."""
+        return self.manifest().get("seen_counters", {}).get(str(epoch))
 
     def mark_done(self) -> None:
         m = self.manifest()
@@ -171,19 +193,34 @@ class EpochStore:
         if extra.num_rows:
             write_table(extra, directory, "part-extra.parquet")
 
-    def read(self, table: str, epoch: int) -> pa.Table:
-        return read_table(self.epoch_dir(table, epoch))
-
-    def read_all(self, table: str, upto_epoch: int | None = None) -> pa.Table | None:
+    def epochs(self, table: str, upto_epoch: int | None = None) -> list[int]:
+        """Epochs that have a ``table`` directory, ascending."""
         base = os.path.join(self.root, table)
         if not os.path.isdir(base):
-            return None
+            return []
         epochs = sorted(
             int(d.split("=")[1]) for d in os.listdir(base) if d.startswith("epoch=")
         )
         if upto_epoch is not None:
             epochs = [e for e in epochs if e <= upto_epoch]
-        tables = [self.read(table, e) for e in epochs]
+        return epochs
+
+    def read(self, table: str, epoch: int, columns: list[str] | None = None) -> pa.Table:
+        return read_table(self.epoch_dir(table, epoch), columns)
+
+    def read_parts(self, table: str, epoch: int, columns: list[str] | None = None):
+        """Yield the epoch's table one part file at a time (a large
+        partition dir is never materialized whole)."""
+        for path in _part_paths(self.epoch_dir(table, epoch)):
+            yield _read_part(path, columns)
+
+    def read_all(
+        self,
+        table: str,
+        upto_epoch: int | None = None,
+        columns: list[str] | None = None,
+    ) -> pa.Table | None:
+        tables = [self.read(table, e, columns) for e in self.epochs(table, upto_epoch)]
         return pa.concat_tables(tables) if tables else None
 
 

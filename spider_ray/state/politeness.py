@@ -13,7 +13,9 @@ actor-pool stages":
   (the conformance requirement) while still bounding per-host load; the
   remainder of an over-budget host is re-enqueued to the next wave.
 - robots.txt: fetched once per host through the engine's own fetch adapter,
-  parsed with the stdlib parser, cached in the owning actor.
+  parsed with the stdlib parser (``parse_robots``, which also reads a
+  fractional Crawl-delay the stdlib parser alone would drop), cached in the
+  owning actor.
 
 Hot-host skew (SURVEY.md §4): the *wave scheduler* caps each host's rows per
 wave, so one hot host can never dominate a wave; other hosts' work fills the
@@ -23,6 +25,8 @@ wave instead.
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 import urllib.robotparser
 
 import numpy as np
@@ -31,6 +35,37 @@ import ray
 
 def host_shard(host: str, n_actors: int) -> int:
     return int.from_bytes(hashlib.md5(host.encode()).digest()[:4], "big") % n_actors
+
+
+# a Crawl-delay line's value (key matched the way the stdlib parser
+# matches it: case-insensitive, whitespace around the colon, comment cut)
+_CRAWL_DELAY = re.compile(r"(?im)^(\s*crawl-delay\s*:)([^#\r\n]*)")
+
+
+def parse_robots(robots_txt: str, agent: str):
+    """(stdlib parser, Crawl-delay seconds for ``agent`` or None).
+
+    The stdlib parser only keeps a whole-number delay, so each
+    Crawl-delay value is swapped for its line index before parsing; the
+    parser's own user-agent grouping then picks the line that applies to
+    ``agent``, and that line's original value is read as a float. A value
+    that is not a positive finite number gives None."""
+    values: list[str] = []
+
+    def to_index(m: re.Match) -> str:
+        values.append(m.group(2).strip())
+        return f"{m.group(1)} {len(values) - 1}"
+
+    parser = urllib.robotparser.RobotFileParser()
+    parser.parse(_CRAWL_DELAY.sub(to_index, robots_txt).splitlines())
+    index = parser.crawl_delay(agent)
+    try:
+        delay = float(values[index]) if index is not None else None
+    except ValueError:
+        delay = None
+    if delay is None or not math.isfinite(delay) or delay <= 0:
+        return parser, None
+    return parser, delay
 
 
 class HostBudgetState:
@@ -52,6 +87,7 @@ class HostBudgetState:
         self.agent = agent
         self.tokens: dict[str, int] = {}
         self.robots: dict[str, urllib.robotparser.RobotFileParser | None] = {}
+        self.delays: dict[str, float | None] = {}
         self._budget_cache: dict[str, int] = {}
 
     def begin_wave(self) -> None:
@@ -61,15 +97,8 @@ class HostBudgetState:
         """floor(wave_period_s / Crawl-delay) tokens (>=1, capped by the
         global budget) when the host's robots declare a delay for our
         agent; None when no directive applies."""
-        parser = self.robots.get(host)
-        if parser is None:
-            return None
-        delay = parser.crawl_delay(self.agent)
-        try:
-            delay = float(delay) if delay is not None else None
-        except (TypeError, ValueError):
-            delay = None
-        if not delay or delay <= 0:
+        delay = self.delays.get(host)
+        if delay is None:
             return None
         return max(1, min(self.budget_per_wave, int(self.wave_period_s / delay)))
 
@@ -98,11 +127,9 @@ class HostBudgetState:
     def set_robots(self, host: str, robots_txt: str | None) -> None:
         self._budget_cache.pop(host, None)  # delay may have changed
         if robots_txt is None:
-            self.robots[host] = None
+            self.robots[host] = self.delays[host] = None
             return
-        parser = urllib.robotparser.RobotFileParser()
-        parser.parse(robots_txt.splitlines())
-        self.robots[host] = parser
+        self.robots[host], self.delays[host] = parse_robots(robots_txt, self.agent)
 
     def robots_known(self, host: str) -> bool:
         return host in self.robots

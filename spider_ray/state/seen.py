@@ -17,9 +17,15 @@ Design (SURVEY.md §4):
   messages per batch instead of an all-to-all exchange per wave.
 - ``check_and_add`` is atomic per shard (actor serializes calls), giving
   exactly-once admission to the frontier.
-- Checkpoint: ``snapshot()`` serializes filter bytes per shard → the seen
-  table (schemas.SEEN_SCHEMA); ``restore()`` reloads — replay-idempotent
-  because re-adding an already-present key is a no-op in both structures.
+- Checkpoint: the seen set is derived state, never snapshotted by the
+  crawl. Every admitted key is already on disk in a checkpoint (fetched →
+  ``order``, not yet fetched → ``frontier``, robots-filtered →
+  ``dropped``), so a resume bulk-``load``s those url_hashes into fresh
+  shards and restores only the per-shard ``dedup_checks``/``dedup_hits``
+  counters, which the keys cannot give. ``load`` is replay-idempotent
+  (re-adding a present key is a no-op) and never counts.
+  ``snapshot()``/``restore()`` (the filter bytes per shard, as
+  schemas.SEEN_SCHEMA rows) remain as library code.
 """
 
 from __future__ import annotations
@@ -43,7 +49,21 @@ class SeenShardState:
     def check_and_add(self, keys: np.ndarray) -> np.ndarray:
         """Return mask of keys that were UNSEEN; mark all of them seen."""
         keys = np.asarray(keys, dtype=np.uint64)
+        unseen = self._admit(keys)
         self.dedup_checks += len(keys)
+        self.dedup_hits += int((~unseen).sum())
+        return unseen
+
+    def load(self, keys: np.ndarray) -> None:
+        """Mark ``keys`` seen without counting them as checks or hits (the
+        resume rebuild). Exact mode rebuilds the same exact set. In
+        cuckoo-only mode no two admitted keys share a (fingerprint, bucket
+        pair) — the later one would have been a false positive of the
+        earlier — so loading them in any order stores the same entries and
+        ``n_items``, unless a shard overflowed its capacity."""
+        self._admit(np.asarray(keys, dtype=np.uint64))
+
+    def _admit(self, keys: np.ndarray) -> np.ndarray:
         # first-occurrence mask so duplicates *within* a batch dedup too
         _, first_idx = np.unique(keys, return_index=True)
         first = np.zeros(len(keys), dtype=bool)
@@ -58,7 +78,6 @@ class SeenShardState:
         else:
             unseen = first & ~self.cuckoo.contains_many(keys)
         self.cuckoo.add_many(keys[unseen])
-        self.dedup_hits += int((~unseen).sum())
         return unseen
 
     def probe(self, keys: np.ndarray) -> np.ndarray:
@@ -121,6 +140,10 @@ class SeenShardState:
         obj.dedup_hits = hits
         return obj
 
+    def set_counters(self, checks: int, hits: int) -> None:
+        self.dedup_checks = checks
+        self.dedup_hits = hits
+
     def stats(self) -> dict:
         return {
             "n_items": self.cuckoo.n_items,
@@ -147,8 +170,11 @@ class SeenShardActor:
     def probe(self, keys: np.ndarray) -> np.ndarray:
         return self.state.probe(keys)
 
-    def add(self, keys: np.ndarray) -> None:
-        self.state.check_and_add(keys)
+    def load(self, keys: np.ndarray) -> None:
+        self.state.load(keys)
+
+    def set_counters(self, checks: int, hits: int) -> None:
+        self.state.set_counters(checks, hits)
 
     def snapshot(self) -> bytes:
         return self.state.snapshot()
@@ -229,19 +255,26 @@ class ShardedSeen:
             out[shard_ids == s] = mask
         return out
 
-    def add(self, keys: np.ndarray) -> None:
-        """Batched, sharded insert without membership report (bulk load)."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        if len(keys) == 0:
-            return
-        _, parts = self._split(keys)
-        ray.get(
-            [
-                self.shards[s].add.remote(parts[s])
+    def load(self, batches, counters: list | None = None) -> None:
+        """Bulk-load key batches into the shards without counting them,
+        then set each shard's ``(dedup_checks, dedup_hits)`` from
+        ``counters`` when given. Every call is submitted asynchronously
+        (one per shard per batch, FIFO per shard) and awaited once at the
+        end, so the driver holds one batch at a time."""
+        refs = []
+        for keys in batches:
+            _, parts = self._split(keys)
+            refs += [
+                self.shards[s].load.remote(parts[s])
                 for s in range(self.n_shards)
                 if len(parts[s])
             ]
-        )
+        if counters is not None:
+            refs += [
+                shard.set_counters.remote(checks, hits)
+                for shard, (checks, hits) in zip(self.shards, counters)
+            ]
+        ray.get(refs)
 
     def snapshot_table(self):
         """Seen-set checkpoint as an Arrow table (schemas.SEEN_SCHEMA)."""
@@ -267,9 +300,12 @@ class ShardedSeen:
         )
 
     def stats(self) -> dict:
+        """Totals over the shards, plus ``counters``: the per-shard
+        ``[dedup_checks, dedup_hits]`` a checkpoint records."""
         per = ray.get([s.stats.remote() for s in self.shards])
         return {
             "n_items": sum(p["n_items"] for p in per),
             "dedup_checks": sum(p["dedup_checks"] for p in per),
             "dedup_hits": sum(p["dedup_hits"] for p in per),
+            "counters": [[p["dedup_checks"], p["dedup_hits"]] for p in per],
         }

@@ -280,6 +280,135 @@ def test_pipelined_resume_completes_universe(ray_session, tmp_path):
     assert ia.sort_by("image_id").equals(ib.sort_by("image_id"))
 
 
+def _truncate_to_checkpoint(out_dir: str, e: int) -> None:
+    """Turn a finished crawl's store into the on-disk state of a crash
+    right after checkpoint ``e``: every ``<table>/epoch=N`` with N > e is
+    deleted, the manifest lists completed epochs <= e only and the crawl
+    is not done. Unlike a ``max_epochs`` stop, this can leave the
+    checkpoint with speculation in flight."""
+    import json
+    import os
+    import shutil
+
+    for table in os.listdir(out_dir):
+        tdir = os.path.join(out_dir, table)
+        if not os.path.isdir(tdir):
+            continue
+        for d in os.listdir(tdir):
+            if d.startswith("epoch=") and int(d.split("=")[1]) > e:
+                shutil.rmtree(os.path.join(tdir, d))
+    path = os.path.join(out_dir, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    manifest["completed_epochs"] = [x for x in manifest["completed_epochs"] if x <= e]
+    manifest["done"] = False
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+
+
+def test_pipelined_resume_from_midrun_checkpoint(ray_session, tmp_path):
+    """Resume from a checkpoint taken while the next epoch's speculative
+    chunks had already admitted candidates. Those candidates are in no
+    table of that checkpoint; the resumed crawl re-fetches the speculated
+    rows and must admit them again, so it fetches exactly the
+    uninterrupted crawl's URLs."""
+    from dataclasses import replace
+
+    cfg = MockWebConfig(n_pages=150, n_hosts=7, img_every=5)
+    full_cfg = CrawlConfig(
+        out_dir=str(tmp_path / "full"), seeds=seed_urls(cfg, every=30), web=cfg,
+        wave_k=25, exact_seen=True, fetch_concurrency=2, fetch_mode="pool",
+        pipeline_waves=True, checkpoint_interval=1,
+    )
+    full = run_crawl(full_cfg)
+    crash_cfg = replace(full_cfg, out_dir=str(tmp_path / "crash"))
+    run_crawl(crash_cfg)
+    _truncate_to_checkpoint(crash_cfg.out_dir, 3)
+    resumed = run_crawl(crash_cfg, resume=True)
+    a = EpochStore(full_cfg.out_dir).read_all("order").column("url").to_pylist()
+    b = EpochStore(crash_cfg.out_dir).read_all("order").column("url").to_pylist()
+    assert sorted(b) == sorted(a), (len(a), len(b))
+    assert resumed.seen_size == full.seen_size
+
+
+def _polite_cfg(out_dir: str) -> CrawlConfig:
+    """A small crawl of a hostile web: robots-disallowed /private/ links on
+    every page, a Crawl-delay host, 404s and 503-then-200 pages, and a
+    per-host cap that binds every wave."""
+    cfg = MockWebConfig(
+        n_pages=300, n_hosts=7, img_every=5, img_size=16,
+        with_errors=True, with_private=True, crawl_delay_s=10.0,
+    )
+    return CrawlConfig(
+        out_dir=out_dir, seeds=seed_urls(cfg, every=50), web=cfg,
+        wave_k=96, max_per_host_per_wave=12, respect_robots=True,
+        politeness_wave_period_s=60.0, retry_max_attempts=1,
+        checkpoint_interval=1, exact_seen=True, fetch_concurrency=2,
+        max_epochs=200,
+    )
+
+
+def test_robots_crawl_resumes_exactly(ray_session, tmp_path):
+    """Robots-dropped rows are in neither order nor frontier; their logged
+    url_hashes keep them in the rebuilt seen set. Resumed slice by slice
+    and after a crash at a checkpoint, the crawl repeats the uninterrupted
+    (epoch, seq, url) order and seen set, and never fetches /private/."""
+    from dataclasses import replace
+
+    full_cfg = _polite_cfg(str(tmp_path / "full"))
+    full = run_crawl(full_cfg)
+    expect = EpochStore(full_cfg.out_dir).read_all("order").select(["epoch", "seq", "url"])
+    assert not any("/private/" in u for u in expect.column("url").to_pylist())
+    assert EpochStore(full_cfg.out_dir).epochs("dropped")  # the log is exercised
+
+    sliced_cfg = _polite_cfg(str(tmp_path / "sliced"))
+    epoch = 0
+    while True:
+        r = run_crawl(replace(sliced_cfg, max_epochs=epoch + 3), resume=epoch > 0)
+        epoch += r.epochs
+        if r.epochs < 3:
+            break
+    crash_cfg = _polite_cfg(str(tmp_path / "crash"))
+    run_crawl(crash_cfg)
+    _truncate_to_checkpoint(crash_cfg.out_dir, full.epochs // 2)
+    crashed = run_crawl(crash_cfg, resume=True)
+    for res, out in ((r, sliced_cfg.out_dir), (crashed, crash_cfg.out_dir)):
+        got = EpochStore(out).read_all("order").select(["epoch", "seq", "url"])
+        assert got.to_pydict() == expect.to_pydict(), out
+        assert res.seen_size == full.seen_size, out
+
+
+def test_sliced_crawl_keeps_seen_counters(ray_session, tmp_path):
+    """A crawl resumed every 2 epochs reports the uninterrupted crawl's
+    dedup counters and seen size (the rebuild loads keys without counting
+    them, and the counters come back from the manifest), and its store
+    holds no seen snapshot."""
+    import os
+    from dataclasses import replace
+
+    cfg = MockWebConfig(n_pages=600, n_hosts=7, img_every=5)
+    base = CrawlConfig(
+        out_dir=str(tmp_path / "full"), seeds=seed_urls(cfg, every=50), web=cfg,
+        wave_k=10_000, exact_seen=True, n_seen_shards=2, fetch_concurrency=2,
+        checkpoint_interval=1,
+    )
+    full = run_crawl(base)
+    sliced = replace(base, out_dir=str(tmp_path / "sliced"))
+    epoch, slices = 0, 0
+    while True:
+        r = run_crawl(replace(sliced, max_epochs=epoch + 2), resume=epoch > 0)
+        epoch += r.epochs
+        slices += 1
+        if r.epochs < 2:
+            break
+    assert slices > 2
+    assert (r.dedup_checks, r.dedup_hits, r.seen_size) == (
+        full.dedup_checks, full.dedup_hits, full.seen_size,
+    )
+    for out in (base.out_dir, sliced.out_dir):
+        assert not os.path.exists(os.path.join(out, "seen"))
+
+
 def test_error_rows_and_retry(ray_session, tmp_path):
     cfg = MockWebConfig(n_pages=60, n_hosts=7, with_errors=True)
     config = CrawlConfig(

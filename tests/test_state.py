@@ -102,6 +102,73 @@ def test_robots_crawl_delay_scales_budget():
     assert bot.budget_for("h.test") == 2        # 60/30 for spiderbot
 
 
+def test_robots_fractional_crawl_delay():
+    """A fractional Crawl-delay is a real delay (the stdlib parser alone
+    drops it and the host would get the full budget); a malformed value
+    declares none."""
+    def budget(delay: str):
+        st = HostBudgetState(budget_per_wave=1000, wave_period_s=60.0)
+        st.set_robots("h.test", f"User-agent: *\nDisallow: /private/\nCrawl-delay: {delay}\n")
+        assert st.allowed("h.test", ["http://h.test/private/1"]).tolist() == [False]
+        return st.delay_budget("h.test")
+
+    assert budget("7.5") == 8    # 60 / 7.5
+    assert budget("10") == 6
+    for bad in ("abc", "", "-2", "nan", "inf", "0"):
+        assert budget(bad) is None, bad
+    # the agent-specific group still wins over "*"
+    bot = HostBudgetState(budget_per_wave=1000, wave_period_s=60.0, agent="spiderbot")
+    bot.set_robots(
+        "h.test",
+        "User-agent: spiderbot\nCrawl-delay: 2.5 # slow\n\nUser-agent: *\nCrawl-delay: 1\n",
+    )
+    assert bot.delay_budget("h.test") == 24
+
+
+def test_seen_shard_load_does_not_count():
+    """The resume rebuild marks keys seen without counting them, and a
+    rebuild in any order gives back the same set and size."""
+    rng = np.random.default_rng(7)
+    keys = rng.integers(0, 2**63, size=3000, dtype=np.uint64)
+    probes = rng.integers(0, 2**63, size=20_000, dtype=np.uint64)
+    for exact in (True, False):
+        st = SeenShardState(capacity=4096, exact=exact)
+        admitted = keys[st.check_and_add(keys)]
+        rebuilt = SeenShardState(capacity=4096, exact=exact)
+        rebuilt.load(admitted[::-1])
+        rebuilt.load(admitted[:100])  # a key logged twice loads once
+        assert rebuilt.stats() == {"n_items": st.cuckoo.n_items, "dedup_checks": 0, "dedup_hits": 0}
+        assert np.array_equal(rebuilt.probe(probes), st.probe(probes))
+        rebuilt.set_counters(*[st.stats()[k] for k in ("dedup_checks", "dedup_hits")])
+        assert rebuilt.stats() == st.stats()
+        assert not rebuilt.check_and_add(admitted).any()
+
+
+def test_epoch_store_projected_reads_and_counters(tmp_path):
+    import pyarrow as pa
+
+    from spider_ray.sources.storage import EpochStore, write_table
+
+    store = EpochStore(str(tmp_path / "store"))
+    t = pa.table({"url": ["a", "b"], "url_hash": pa.array([1, 2], pa.uint64())})
+    store.write("order", 0, t)
+    store.write("order", 2, t.slice(1))
+    write_table(t.slice(0, 1), store.epoch_dir("frontier", 2), "part-a.parquet")
+    write_table(t.slice(1), store.epoch_dir("frontier", 2), "part-b.parquet")
+    assert store.epochs("order") == [0, 2] and store.epochs("order", 1) == [0]
+    assert store.epochs("dropped") == []
+    assert store.read("order", 0, ["url_hash"]).column_names == ["url_hash"]
+    got = store.read_all("order", columns=["url_hash"])
+    assert got.column_names == ["url_hash"] and got.num_rows == 3
+    parts = list(store.read_parts("frontier", 2, ["url_hash"]))
+    assert [p.column("url_hash").to_pylist() for p in parts] == [[1], [2]]
+    store.mark_epoch_complete(0, "cfg", [[5, 1], [7, 2]])
+    store.mark_epoch_complete(2, "cfg", [[9, 3], [8, 2]])
+    assert store.seen_counters(0) == [[5, 1], [7, 2]]
+    assert store.seen_counters(2) == [[9, 3], [8, 2]]
+    assert store.seen_counters(1) is None
+
+
 def test_link_frontier_survives_source_deletion(tmp_path):
     """Checkpointed frontier partitions are hardlinks: deleting the
     transient source dir (next-wave cleanup) must not lose checkpoint data."""
