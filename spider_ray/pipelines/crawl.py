@@ -18,17 +18,22 @@ fetch scheduler". Per wave (epoch):
    bloom+cuckoo seen set (batched RPCs to hash-owned shard actors — no
    all-to-all shuffle; this is the crawl's only admission path), and writes
    its own pages/images/documents partition files. Driver traffic per wave
-   is O(new URLs), not O(fetched bytes). Pool mode submits chunks to
-   persistent ``FetchWorker`` actors; dataset mode submits the same chunks
-   as independent Ray tasks (per-process worker cache, no persistent pool)
-   for deployments where actors can't be pinned (equivalence pinned by
-   tests/test_fetch_modes.py; ≤1.1× pool wall).
+   is O(new URLs), not O(fetched bytes): each chunk returns its fresh
+   candidates, counters and the per-shard dedup counts of its own probes.
+   Pool mode submits chunks to persistent ``FetchWorker`` actors; dataset
+   mode submits the same chunks as independent Ray tasks (per-process
+   worker cache, no persistent pool) for deployments where actors can't be
+   pinned (equivalence pinned by tests/test_fetch_modes.py; ≤1.1× pool
+   wall).
 3. **Frontier update + checkpoint** — fresh candidates + politeness
    deferrals + bounded 5xx retries form the next frontier; per-epoch order
    + lineage tables (+ the url_hash of robots-dropped rows), and a
-   frontier snapshot plus the seen shards' counters every
-   ``checkpoint_interval`` epochs (writes are parallel Ray tasks overlapped
-   with the next wave's fetch). The seen set itself is never written: every
+   frontier snapshot plus the per-shard dedup counters every
+   ``checkpoint_interval`` epochs. An epoch's tables go out as ONE Ray
+   write task, overlapped with the next wave's fetch; the driver's
+   control plane is one round trip per service per wave (one robots
+   ``screen`` per politeness actor, the chunks themselves, one write
+   task). The seen set itself is never written: every
    admitted key is fetched (order), waiting (frontier) or robots-dropped,
    so a resume rebuilds the shards from those tables
    (``_rebuild_seen``). An interrupted crawl resumes from the last
@@ -243,9 +248,6 @@ class _ChunkWorker:
         self.bloom = BloomFilter(1 << 21, 0.001) if use_bloom else None
         self.max_depth = max_depth
 
-    def admit(self, candidates: pa.Table) -> pa.Table:
-        return _chunk_dedup(candidates, self.seen, self.bloom, self.max_depth)
-
     def process_chunk(
         self,
         chunk: pa.Table,
@@ -254,9 +256,18 @@ class _ChunkWorker:
         part_id: int,
         n_partitions: int,
     ) -> dict:
-        return _fused_chunk(
-            self.stage, chunk, keep_content, sink, part_id, n_partitions, self.admit
+        """``_fused_chunk`` admitting through this worker's seen handles;
+        the result also carries ``dedup``, the per-shard ``[checks, hits]``
+        of the probes this chunk sent."""
+        dedup = np.zeros((self.seen.n_shards, 2), dtype=np.int64)
+        out = _fused_chunk(
+            self.stage, chunk, keep_content, sink, part_id, n_partitions,
+            lambda candidates: _chunk_dedup(
+                candidates, self.seen, self.bloom, self.max_depth, dedup
+            ),
         )
+        out["dedup"] = dedup
+        return out
 
 
 FetchWorker = ray.remote(_ChunkWorker)
@@ -429,12 +440,30 @@ def _fused_chunk(
     return out
 
 
-def _chunk_dedup(candidates: pa.Table, seen, bloom, max_depth) -> pa.Table:
+def _shard_counts(keys: np.ndarray, unseen: np.ndarray, n_shards: int) -> np.ndarray:
+    """Per-shard ``[checks, hits]`` that one ``check_and_add(keys)`` adds
+    to the owning shards (shard = url_hash % n_shards)."""
+    shard = (keys % np.uint64(n_shards)).astype(np.int64)
+    return np.stack(
+        [
+            np.bincount(shard, minlength=n_shards),
+            np.bincount(shard[~unseen], minlength=n_shards),
+        ],
+        axis=1,
+    )
+
+
+def _chunk_dedup(
+    candidates: pa.Table, seen, bloom, max_depth, counts: np.ndarray | None = None
+) -> pa.Table:
     """Worker-side seen-set admission for one chunk's candidates: optional
     per-worker bloom pre-filter (repeat duplicates skip the RPC), then one
     batched check_and_add fan-out to the hash-owned shard actors. The
     admitted SET is order-independent (shard admission is exactly-once per
-    key), so chunk completion order can't change the frontier."""
+    key), so chunk completion order can't change the frontier. ``counts``
+    (n_shards x 2), when given, accumulates the per-shard ``[checks,
+    hits]`` of the keys sent to the shards — bloom-skipped keys are never
+    sent, so they count nowhere, exactly as the shards count."""
     if candidates.num_rows == 0:
         return candidates
     if max_depth is not None:
@@ -444,14 +473,17 @@ def _chunk_dedup(candidates: pa.Table, seen, bloom, max_depth) -> pa.Table:
         if candidates.num_rows == 0:
             return candidates
     keys = candidates.column("url_hash").to_numpy().astype(np.uint64)
-    if bloom is not None:
-        need = ~bloom.contains_many(keys)
-        unseen = np.zeros(len(keys), dtype=bool)
-        if need.any():
-            unseen[need] = seen.check_and_add(keys[need])
-            bloom.add_many(keys[need])
-    else:
-        unseen = seen.check_and_add(keys)
+    sent = (
+        ~bloom.contains_many(keys) if bloom is not None
+        else np.ones(len(keys), dtype=bool)
+    )
+    unseen = np.zeros(len(keys), dtype=bool)
+    if sent.any():
+        unseen[sent] = seen.check_and_add(keys[sent])
+        if bloom is not None:
+            bloom.add_many(keys[sent])
+        if counts is not None:
+            counts += _shard_counts(keys[sent], unseen[sent], seen.n_shards)
     return candidates.filter(pa.array(unseen))
 
 
@@ -1088,13 +1120,20 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             frontier = Frontier.from_table(store.read("frontier", last))
             frontier_keys = [frontier.table.column("url_hash")]
         _rebuild_seen(seen, store, last, frontier_keys)
+        counters = store.seen_counters(last)
         start_epoch = last + 1
     else:
         seed_table = frontier_from_seeds(config.seeds)
-        unseen = seen.check_and_add(
-            seed_table.column("url_hash").to_numpy().astype(np.uint64)
-        )
+        seed_keys = seed_table.column("url_hash").to_numpy().astype(np.uint64)
+        unseen = seen.check_and_add(seed_keys)
+        counters = _shard_counts(seed_keys, unseen, config.n_seen_shards)
         frontier = Frontier.from_table(seed_table.filter(pa.array(unseen)))
+    # per-shard [dedup_checks, dedup_hits] of every probe the crawl has
+    # committed: the seed admission (or the checkpoint's counters) plus the
+    # counts each collected chunk returns — the shards are never asked
+    dedup = np.zeros((config.n_seen_shards, 2), dtype=np.int64)
+    if counters is not None:
+        dedup += np.asarray(counters, dtype=np.int64)
 
     pages_fetched = 0
     images_written = 0
@@ -1120,7 +1159,6 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     # any checkpoint taken while they are in flight.
     spec_state: dict | None = None
     while (frontier.count > 0 or spec_state is not None) and epoch < config.max_epochs:
-        politeness.begin_wave()
         spec_prev, spec_state = spec_state, None
         spec_tbl = spec_prev["table"] if spec_prev else None
         rest_k = config.wave_k - (spec_tbl.num_rows if spec_prev else 0)
@@ -1164,10 +1202,13 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             frontier.cleanup()
         dropped = None
         if config.respect_robots:  # mutually exclusive with pipelining
-            hosts = wave_rest.column("host").to_pylist()
-            urls = wave_rest.column("url").to_pylist()
-            politeness.ensure_robots(hosts, web.robots_txt)
-            allowed = politeness.allowed(hosts, urls)
+            # one call per owning politeness actor: robots.txt for new
+            # hosts in, the allowed mask and Crawl-delay budgets out
+            allowed, caps = politeness.screen(
+                wave_rest.column("host").to_pylist(),
+                wave_rest.column("url").to_pylist(),
+                web.robots_txt,
+            )
             # disallowed rows leave the crawl here: they are in neither
             # order nor frontier, so their keys are logged for the rebuild
             dropped = wave_rest.filter(pa.array(~allowed)).select(["url_hash"])
@@ -1175,9 +1216,6 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             # Crawl-delay hosts: keep the first budget_h rows (wave order
             # = priority order) and DEFER the overflow to the next wave —
             # a rate directive delays pages, it never drops them
-            caps = politeness.delay_caps(
-                [h for h, a in zip(hosts, allowed) if a]
-            )
             if any(c is not None for c in caps.values()):
                 # vectorized per-host cumcount (wave order = priority
                 # order): row i of host h survives iff its rank within h
@@ -1212,7 +1250,8 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
                 break
             # everything admissible this wave was robots-filtered; advance
             # (no order table: the drop log rides with the next checkpoint)
-            unflushed_refs += _log_dropped(store, epoch, dropped)
+            if drop_log := _drop_log(dropped):
+                unflushed_refs.append(store.write_async(epoch, drop_log))
             frontier = deferred
             epoch += 1
             continue
@@ -1237,8 +1276,6 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             )
 
         # ---- fetch + parse + extract + dedup (distributed) ---------------
-        # dedup runs inside the workers, so snapshot shard stats first
-        stats_before = seen.stats()
         meta, spec_state = _fetch_wave(
             wave_rest, config, fetch_pool, store, epoch, worker_args, slots,
             carried=spec_prev, next_spec=next_spec,
@@ -1251,6 +1288,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             break
         pages_fetched += meta["n_pages"]
         images_written += meta["n_images"]
+        dedup += meta["dedup"]
 
         # previous epoch's checkpoint writes overlapped with this fetch;
         # gather them now and only then mark that epoch complete
@@ -1271,8 +1309,6 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
                 "priority": wave.column("priority"),
             }
         )
-        write_refs = [store.write_async("order", epoch, order_table)]
-        write_refs += _log_dropped(store, epoch, dropped)
 
         # ---- fresh candidates (admitted by the workers) → next frontier --
         fresh_table = meta["fresh"]
@@ -1290,22 +1326,23 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         )
         frontier = deferred.with_extra(extra)
 
-        # ---- lineage + checkpoint ---------------------------------------
-        stats_after = seen.stats()
-        write_refs.append(store.write_async(
-            "lineage",
-            epoch,
-            _lineage_table(
+        # ---- lineage + checkpoint: ONE write task per epoch --------------
+        # The epoch's order, lineage and drop log — and at a checkpoint its
+        # frontier — go out together, overlapped with the next wave's
+        # fetch; the epoch is marked complete once that task returns.
+        tables = {
+            "order": order_table,
+            "lineage": _lineage_table(
                 epoch,
                 meta["lineage_fetch"],
                 meta["n_candidates_raw"],
                 fresh_table.num_rows,
-                stats_before,
-                stats_after,
+                meta["dedup"],
             ),
-        ))
-        unflushed_refs.extend(write_refs)
-        if (epoch + 1) % config.checkpoint_interval == 0:
+            **_drop_log(dropped),
+        }
+        checkpoint = (epoch + 1) % config.checkpoint_interval == 0
+        if checkpoint:
             # a checkpoint taken while speculation is in flight must include
             # the speculated rows — epoch+1 is incomplete, so a resume from
             # this checkpoint re-fetches them (idempotent: their epoch+1
@@ -1313,12 +1350,15 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             # candidates those chunks already admitted are in no table of
             # this checkpoint, so the seen set rebuilt from it lacks them
             # and the re-fetch admits them again; a seen snapshot taken
-            # here would hold them and lose them for good. The counters may
-            # include those chunks' probes, which the re-fetch repeats.
-            unflushed_refs.extend(
+            # here would hold them and lose them for good. Their probes are
+            # not in the counters either: a chunk's counts join ``dedup``
+            # only when the epoch that collects it does.
+            tables.update(
                 _checkpoint_frontier(store, epoch, _spec_view(frontier, spec_state))
             )
-            pending_writes = (epoch, unflushed_refs, stats_after["counters"])
+        unflushed_refs.append(store.write_async(epoch, tables))
+        if checkpoint:
+            pending_writes = (epoch, unflushed_refs, dedup.tolist())
             unflushed_refs = []
         epoch += 1
 
@@ -1327,14 +1367,15 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         ray.get(prev_refs)
         store.mark_epoch_complete(prev_epoch, config.key(), prev_counters)
         pending_writes = None
-    final_stats = seen.stats()
     if unflushed_refs or (epoch > start_epoch and store.last_epoch() != epoch - 1):
         # final (partial-interval) checkpoint so the finished state is durable
-        unflushed_refs.extend(_checkpoint_frontier(store, epoch - 1, frontier))
+        if frontier_table := _checkpoint_frontier(store, epoch - 1, frontier):
+            unflushed_refs.append(store.write_async(epoch - 1, frontier_table))
         ray.get(unflushed_refs)
-        store.mark_epoch_complete(epoch - 1, config.key(), final_stats["counters"])
+        store.mark_epoch_complete(epoch - 1, config.key(), dedup.tolist())
         unflushed_refs = []
     store.mark_done()
+    seen_size = seen.stats()["n_items"]
     # Release the crawl's actors NOW rather than when Ray reaps the
     # out-of-scope handles: the pool alone reserves fetch_concurrency ×
     # fetch_num_cpus CPUs, which would starve whatever the caller runs next
@@ -1346,9 +1387,9 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         epochs=epoch - start_epoch,
         pages_fetched=pages_fetched,
         images_written=images_written,
-        dedup_checks=final_stats["dedup_checks"],
-        dedup_hits=final_stats["dedup_hits"],
-        seen_size=final_stats["n_items"],
+        dedup_checks=int(dedup[:, 0].sum()),
+        dedup_hits=int(dedup[:, 1].sum()),
+        seen_size=seen_size,
     )
 
 
@@ -1381,25 +1422,24 @@ def _rebuild_seen(seen: ShardedSeen, store: EpochStore, last: int, frontier_keys
     key the crawl admitted up to then is in one of its tables: fetched
     (``order`` ≤ last), robots-dropped (``dropped`` ≤ last) or waiting
     (``frontier_keys``, the checkpoint frontier's url_hash column, batch by
-    batch). Only the url_hash column is read; the shards' counters come
-    from the manifest, since a load never counts."""
+    batch). Only the url_hash column is read; a load never counts (the
+    dedup counters come from the manifest)."""
     logged = (
         store.read(table, e, ["url_hash"]).column("url_hash")
         for table in ("order", "dropped")
         for e in store.epochs(table, last)
     )
     seen.load(
-        (keys.to_numpy() for keys in itertools.chain(logged, frontier_keys)),
-        store.seen_counters(last),
+        keys.to_numpy() for keys in itertools.chain(logged, frontier_keys)
     )
 
 
-def _log_dropped(store: EpochStore, epoch: int, dropped: pa.Table | None) -> list:
-    """Write the epoch's robots-dropped url_hashes (only when there are
-    any); returns the write refs for the checkpoint to await."""
+def _drop_log(dropped: pa.Table | None) -> dict:
+    """The epoch's ``dropped`` table (robots-dropped url_hashes) as a
+    write entry — empty when nothing was dropped."""
     if dropped is None or dropped.num_rows == 0:
-        return []
-    return [store.write_async("dropped", epoch, dropped)]
+        return {}
+    return {"dropped": dropped}
 
 
 def _spec_view(frontier: Frontier, spec_state: dict | None) -> Frontier:
@@ -1420,18 +1460,19 @@ def _spec_view(frontier: Frontier, spec_state: dict | None) -> Frontier:
     )
 
 
-def _checkpoint_frontier(store: EpochStore, epoch: int, frontier: Frontier) -> list:
-    """Checkpoint the frontier. Small frontiers → one async table write.
-    Distributed frontiers → hardlink the already-on-disk partition files
-    into the store's epoch dir (metadata-only, O(#files) syscalls — no data
-    moves and nothing is collected on the driver) plus the small
-    driver-resident increment as one extra part file. Done synchronously:
-    the source dirs are transient and deleted when the next wave consumes
-    them, so an async link task could race the cleanup."""
+def _checkpoint_frontier(store: EpochStore, epoch: int, frontier: Frontier) -> dict:
+    """Checkpoint the frontier. Small frontiers → ``{"frontier": table}``,
+    a write entry for the epoch's write task. Distributed frontiers →
+    hardlink the already-on-disk partition files into the store's epoch
+    dir (metadata-only, O(#files) syscalls — no data moves and nothing is
+    collected on the driver) plus the small driver-resident increment as
+    one extra part file, and return ``{}``. Done synchronously: the source
+    dirs are transient and deleted when the next wave consumes them, so an
+    async link task could race the cleanup."""
     if not frontier.dirs:
-        return [store.write_async("frontier", epoch, frontier.to_table())]
+        return {"frontier": frontier.to_table()}
     store.link_frontier(epoch, frontier.table, frontier.dirs)
-    return []
+    return {}
 
 
 def _epoch_sink(store: EpochStore, epoch: int, clear: bool) -> dict:
@@ -1470,7 +1511,9 @@ def _fetch_wave(
     next_spec: pa.Table | None = None,
 ) -> tuple[dict | None, dict | None]:
     """Fetch+parse+extract+admit one wave → (meta, spec_state). meta:
-    {fresh, failed, lineage_fetch, n_pages, n_images, n_candidates_raw}.
+    {fresh, failed, lineage_fetch, n_pages, n_images, n_candidates_raw,
+    dedup}; ``dedup`` sums the collected chunks' per-shard [checks, hits],
+    carried speculation included.
 
     The wave is cut into strided chunks (i::n — cheap HTML rows and
     expensive image rows mix evenly), ~2 per fetch slot, each run by the
@@ -1555,6 +1598,7 @@ def _fetch_wave(
         "n_pages": sum(p["n_pages"] for p in parts),
         "n_images": sum(p["n_images"] for p in parts),
         "n_candidates_raw": sum(p["n_candidates_raw"] for p in parts),
+        "dedup": sum(p["dedup"] for p in parts),
     }, spec_state
 
 
@@ -1582,47 +1626,34 @@ def _lineage_table(
     fetch_partials: pa.Table,
     candidates_n: int,
     fresh_n: int,
-    stats_before: dict,
-    stats_after: dict,
+    dedup: np.ndarray,
 ) -> pa.Table:
-    """Aggregate per-chunk fetch partials into per-partition lineage rows
-    plus one dedup-stage row (shard-stat delta for the epoch)."""
-    import pandas as pd
-
-    agg = (
-        fetch_partials.to_pandas()
-        .groupby("partition_id", as_index=False)[["rows", "cache_hits", "errors"]]
-        .sum()
+    """Per-partition lineage rows (the chunks' fetch partials summed with
+    one bincount per counter) plus one dedup-stage row carrying the
+    epoch's chunk-counted per-shard ``[checks, hits]`` (``dedup``)."""
+    pid = fetch_partials.column("partition_id").to_numpy()
+    ids = np.flatnonzero(np.bincount(pid))
+    rows, hits, errors = (
+        np.bincount(pid, weights=fetch_partials.column(c).to_numpy())[ids]
+        .astype(np.int64)
+        .tolist()
+        for c in ("rows", "cache_hits", "errors")
     )
-    rows = [
+    n = len(ids)
+    checks, dedup_hits = (int(v) for v in np.asarray(dedup).sum(axis=0))
+    return pa.table(
         {
-            "epoch": epoch,
-            "partition_id": int(r.partition_id),
-            "stage": "fetch",
-            "rows_in": int(r.rows),
-            "rows_out": int(r.rows),
-            "fetches": int(r.rows - r.cache_hits),
-            "cache_hits": int(r.cache_hits),
-            "dedup_checks": None,
-            "dedup_hits": None,
-            "errors": int(r.errors),
-            "wall_ms": None,
-        }
-        for r in agg.itertuples()
-    ]
-    rows.append(
-        {
-            "epoch": epoch,
-            "partition_id": -1,
-            "stage": "dedup",
-            "rows_in": candidates_n,
-            "rows_out": fresh_n,
-            "fetches": None,
-            "cache_hits": None,
-            "dedup_checks": stats_after["dedup_checks"] - stats_before["dedup_checks"],
-            "dedup_hits": stats_after["dedup_hits"] - stats_before["dedup_hits"],
-            "errors": None,
-            "wall_ms": None,
-        }
+            "epoch": [epoch] * (n + 1),
+            "partition_id": [*ids.tolist(), -1],
+            "stage": ["fetch"] * n + ["dedup"],
+            "rows_in": [*rows, candidates_n],
+            "rows_out": [*rows, fresh_n],
+            "fetches": [*(r - h for r, h in zip(rows, hits)), None],
+            "cache_hits": [*hits, None],
+            "dedup_checks": [None] * n + [checks],
+            "dedup_hits": [None] * n + [dedup_hits],
+            "errors": [*errors, None],
+            "wall_ms": [None] * (n + 1),
+        },
+        schema=LINEAGE_SCHEMA,
     )
-    return pa.Table.from_pylist(rows, schema=LINEAGE_SCHEMA)

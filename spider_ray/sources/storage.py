@@ -81,10 +81,14 @@ try:
     import ray as _ray
 
     @_ray.remote(num_cpus=WRITE_TASK_NUM_CPUS)
-    def _write_task(data: pa.Table, directory: str) -> str:
-        if os.path.exists(directory):
-            shutil.rmtree(directory)
-        return write_table(data, directory)
+    def _write_task(tables: dict[str, pa.Table]) -> list[str]:
+        """Write each ``directory → table`` entry, replacing the directory."""
+        paths = []
+        for directory, data in tables.items():
+            if os.path.exists(directory):
+                shutil.rmtree(directory)
+            paths.append(write_table(data, directory))
+        return paths
 
 except ImportError:  # pragma: no cover
     _write_task = None
@@ -94,7 +98,7 @@ class EpochStore:
     """Checkpoint layout for a crawl run.
 
     ``root/manifest.json`` records completed epochs and, per completed
-    epoch, the seen shards' ``(dedup_checks, dedup_hits)`` counters;
+    epoch, the per-shard ``(dedup_checks, dedup_hits)`` counters;
     per-epoch directories hold frontier / pages / images / documents /
     lineage / order tables, plus a ``dropped`` table (url_hash of the
     robots-filtered rows) for each epoch that dropped any. No seen-set
@@ -161,12 +165,13 @@ class EpochStore:
             shutil.rmtree(directory)
         write_table(data, directory)
 
-    def write_async(self, table: str, epoch: int, data: pa.Table):
-        """Checkpoint write as a Ray task (parallel across tables within an
-        epoch; caller ray.get()s the refs before marking the epoch done)."""
-        import ray
-
-        return _write_task.remote(data, self.epoch_dir(table, epoch))
+    def write_async(self, epoch: int, tables: dict[str, pa.Table]):
+        """Write every ``{table: data}`` of ``epoch`` in ONE Ray task (each
+        table's epoch dir replaced wholesale); returns its ref, which the
+        caller ray.get()s before marking the epoch complete."""
+        return _write_task.remote(
+            {self.epoch_dir(name, epoch): data for name, data in tables.items()}
+        )
 
     def link_frontier(self, epoch: int, extra: pa.Table, dirs: list[str]) -> None:
         """Checkpoint a distributed frontier: hardlink the partition files

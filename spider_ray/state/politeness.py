@@ -1,4 +1,4 @@
-"""Per-host politeness budgets and robots.txt caches.
+"""Per-host politeness: robots.txt and Crawl-delay caches in stateful actors.
 
 Generalizes the reference's single global rate-limit sleep
 (src/scrapers/tree.ts:20, 296-303, default 1000 ms/page) to the north rule's
@@ -6,20 +6,24 @@ Generalizes the reference's single global rate-limit sleep
 actor-pool stages":
 
 - Hosts are partitioned over a small pool of ``HostBudgetActor``s keyed by
-  ``hash(host) % n_actors`` — one actor owns a host's budget, so a hot host
-  is throttled globally no matter how many fetch actors touch it.
-- Budgets are deterministic token counts per wave (``max_per_host_per_wave``)
-  rather than wall-clock sleeps, which keeps crawl ordering reproducible
-  (the conformance requirement) while still bounding per-host load; the
-  remainder of an over-budget host is re-enqueued to the next wave.
+  ``hash(host) % n_actors`` — one actor owns a host's robots.txt, so every
+  fetch decision about a host reads the same rules.
+- The crawl's per-host cap (``max_per_host_per_wave``) is NOT applied here:
+  it is the driver's deterministic wave cut (``crawl.wave_select_arrow``),
+  so a hot host can never dominate a wave and its overflow is deferred to
+  the next one. What the crawl asks the actors for is robots.txt and
+  Crawl-delay only: ``PolitenessPool.screen`` makes ONE call per owning
+  actor per wave, which installs robots.txt for hosts the client has not
+  sent before, and returns the allowed mask and each host's Crawl-delay
+  wave budget (floor(wave_period_s / delay) tokens — deterministic, no
+  sleeps, so crawl ordering stays reproducible).
 - robots.txt: fetched once per host through the engine's own fetch adapter,
   parsed with the stdlib parser (``parse_robots``, which also reads a
   fractional Crawl-delay the stdlib parser alone would drop), cached in the
   owning actor.
-
-Hot-host skew (SURVEY.md §4): the *wave scheduler* caps each host's rows per
-wave, so one hot host can never dominate a wave; other hosts' work fills the
-wave instead.
+- ``acquire``/``begin_wave`` (per-wave token counting in the actor) and the
+  one-concern calls ``ensure_robots``/``allowed``/``delay_caps`` remain as
+  library API; the crawl does not call them.
 """
 
 from __future__ import annotations
@@ -142,6 +146,12 @@ class HostBudgetState:
             (parser.can_fetch(agent, u) for u in urls), dtype=bool, count=len(urls)
         )
 
+    def screen(self, urls_by_host: dict, agent: str = "*") -> tuple[dict, dict]:
+        """(host → robots mask of its urls, host → Crawl-delay budget or
+        None for every host with at least one allowed url)."""
+        masks = {h: self.allowed(h, urls, agent) for h, urls in urls_by_host.items()}
+        return masks, {h: self.delay_budget(h) for h, m in masks.items() if m.any()}
+
 
 POLITENESS_NUM_CPUS = 0.1
 
@@ -174,14 +184,21 @@ class HostBudgetActor:
     def delay_budgets(self, hosts: list[str]) -> list:
         return [self.state.delay_budget(h) for h in hosts]
 
+    def screen(self, robots: dict, urls_by_host: dict, agent: str = "*"):
+        for host, robots_txt in robots.items():
+            self.state.set_robots(host, robots_txt)
+        return self.state.screen(urls_by_host, agent)
+
 
 class PolitenessPool:
-    """Client over the host-budget actors (serializable: handles only)."""
+    """Client over the host-budget actors (serializable: handles plus the
+    set of hosts whose robots.txt ``screen`` has already sent)."""
 
     def __init__(self, actors: list, agent: str = "*"):
         self.actors = actors
         self.n = len(actors)
         self.agent = agent
+        self.robots_sent: set[str] = set()
 
     @classmethod
     def create(
@@ -268,3 +285,31 @@ class PolitenessPool:
         for idx, ref in refs:
             out[np.array(idx)] = ray.get(ref)
         return out
+
+    def screen(self, hosts: list[str], urls: list[str], fetch_robots) -> tuple[np.ndarray, dict]:
+        """One wave's robots screen in ONE call per owning actor: installs
+        robots.txt (``fetch_robots(host)``, text or None) for every host
+        not sent before, and returns ``(allowed, caps)`` — the same mask and
+        Crawl-delay budgets as ``ensure_robots`` + ``allowed`` +
+        ``delay_caps`` over the allowed rows' hosts."""
+        if not urls:
+            return np.zeros(0, dtype=bool), {}
+        rows: dict[str, list[int]] = {}
+        for i, h in enumerate(hosts):
+            rows.setdefault(h, []).append(i)
+        by_actor: dict[int, list[str]] = {}
+        for h in rows:
+            by_actor.setdefault(host_shard(h, self.n), []).append(h)
+        refs = []
+        for s, hs in by_actor.items():
+            robots = {h: fetch_robots(h) for h in hs if h not in self.robots_sent}
+            self.robots_sent.update(robots)
+            urls_by_host = {h: [urls[i] for i in rows[h]] for h in hs}
+            refs.append(self.actors[s].screen.remote(robots, urls_by_host, self.agent))
+        allowed = np.ones(len(urls), dtype=bool)
+        caps: dict = {}
+        for masks, actor_caps in ray.get(refs):
+            for h, mask in masks.items():
+                allowed[rows[h]] = mask
+            caps.update(actor_caps)
+        return allowed, caps

@@ -21,9 +21,11 @@ Design (SURVEY.md §4):
   crawl. Every admitted key is already on disk in a checkpoint (fetched →
   ``order``, not yet fetched → ``frontier``, robots-filtered →
   ``dropped``), so a resume bulk-``load``s those url_hashes into fresh
-  shards and restores only the per-shard ``dedup_checks``/``dedup_hits``
-  counters, which the keys cannot give. ``load`` is replay-idempotent
-  (re-adding a present key is a no-op) and never counts.
+  shards. ``load`` is replay-idempotent (re-adding a present key is a
+  no-op) and never counts. The crawl's ``dedup_checks``/``dedup_hits``
+  are not read from the shards either: each chunk returns the per-shard
+  counts of its own probes, and the driver sums them and records them in
+  the checkpoint manifest.
   ``snapshot()``/``restore()`` (the filter bytes per shard, as
   schemas.SEEN_SCHEMA rows) remain as library code.
 """
@@ -173,9 +175,6 @@ class SeenShardActor:
     def load(self, keys: np.ndarray) -> None:
         self.state.load(keys)
 
-    def set_counters(self, checks: int, hits: int) -> None:
-        self.state.set_counters(checks, hits)
-
     def snapshot(self) -> bytes:
         return self.state.snapshot()
 
@@ -255,12 +254,11 @@ class ShardedSeen:
             out[shard_ids == s] = mask
         return out
 
-    def load(self, batches, counters: list | None = None) -> None:
-        """Bulk-load key batches into the shards without counting them,
-        then set each shard's ``(dedup_checks, dedup_hits)`` from
-        ``counters`` when given. Every call is submitted asynchronously
-        (one per shard per batch, FIFO per shard) and awaited once at the
-        end, so the driver holds one batch at a time."""
+    def load(self, batches) -> None:
+        """Bulk-load key batches into the shards without counting them.
+        Every call is submitted asynchronously (one per shard per batch,
+        FIFO per shard) and awaited once at the end, so the driver holds
+        one batch at a time."""
         refs = []
         for keys in batches:
             _, parts = self._split(keys)
@@ -268,11 +266,6 @@ class ShardedSeen:
                 self.shards[s].load.remote(parts[s])
                 for s in range(self.n_shards)
                 if len(parts[s])
-            ]
-        if counters is not None:
-            refs += [
-                shard.set_counters.remote(checks, hits)
-                for shard, (checks, hits) in zip(self.shards, counters)
             ]
         ray.get(refs)
 

@@ -331,6 +331,32 @@ def test_pipelined_resume_from_midrun_checkpoint(ray_session, tmp_path):
     assert resumed.seen_size == full.seen_size
 
 
+def test_pipelined_resume_keeps_seen_counters(ray_session, tmp_path):
+    """Resumed after a crash at a checkpoint taken with speculation in
+    flight, the pipelined crawl reports the uninterrupted crawl's dedup
+    counters and seen size: the counters at a checkpoint hold only the
+    chunks collected by then, so the re-fetched speculation is counted
+    once."""
+    import shutil
+    from dataclasses import replace
+
+    cfg = MockWebConfig(n_pages=150, n_hosts=7, img_every=5)
+    full_cfg = CrawlConfig(
+        out_dir=str(tmp_path / "full"), seeds=seed_urls(cfg, every=30), web=cfg,
+        wave_k=25, exact_seen=True, fetch_concurrency=2, fetch_mode="pool",
+        pipeline_waves=True, checkpoint_interval=1,
+    )
+    full = run_crawl(full_cfg)
+    for e in (3, 4):
+        crash_cfg = replace(full_cfg, out_dir=str(tmp_path / f"crash{e}"))
+        shutil.copytree(full_cfg.out_dir, crash_cfg.out_dir)
+        _truncate_to_checkpoint(crash_cfg.out_dir, e)
+        resumed = run_crawl(crash_cfg, resume=True)
+        assert (resumed.dedup_checks, resumed.dedup_hits, resumed.seen_size) == (
+            full.dedup_checks, full.dedup_hits, full.seen_size,
+        ), e
+
+
 def _polite_cfg(out_dir: str) -> CrawlConfig:
     """A small crawl of a hostile web: robots-disallowed /private/ links on
     every page, a Crawl-delay host, 404s and 503-then-200 pages, and a
@@ -376,6 +402,46 @@ def test_robots_crawl_resumes_exactly(ray_session, tmp_path):
         got = EpochStore(out).read_all("order").select(["epoch", "seq", "url"])
         assert got.to_pydict() == expect.to_pydict(), out
         assert res.seen_size == full.seen_size, out
+
+
+def test_crawl_control_plane_budget(ray_session, tmp_path, monkeypatch):
+    """Per epoch the driver makes one round trip per service: one write
+    task per written epoch (plus at most the final checkpoint and the drop
+    logs of all-filtered epochs), one robots screen per wave, and the seen
+    shards are asked for their stats once per run_crawl — the chunks count
+    their own probes."""
+    import collections
+
+    from spider_ray.sources import storage
+    from spider_ray.state import politeness, seen
+
+    calls = collections.Counter()
+
+    def counting(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return orig(*a, **k)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(storage.EpochStore, "write_async")
+    counting(seen.ShardedSeen, "stats")
+    for name in ("screen", "begin_wave", "ensure_robots", "allowed", "delay_caps"):
+        counting(politeness.PolitenessPool, name)
+    config = _polite_cfg(str(tmp_path / "polite"))
+    result = run_crawl(config)
+    store = EpochStore(config.out_dir)
+    written = store.epochs("order")
+    drop_only = set(store.epochs("dropped")) - set(written)
+    assert len(written) <= calls["write_async"] <= len(written) + 1 + len(drop_only)
+    assert calls["stats"] == 1
+    # one screen per epoch, plus the last cut wave when robots dropped
+    # all of its rows and nothing was left to defer (no epoch is counted)
+    assert result.epochs <= calls["screen"] <= result.epochs + 1
+    for name in ("begin_wave", "ensure_robots", "allowed", "delay_caps"):
+        assert calls[name] == 0, name
 
 
 def test_sliced_crawl_keeps_seen_counters(ray_session, tmp_path):
@@ -537,3 +603,42 @@ def test_lineage_metrics_recorded(small_crawl):
     assert sum(dedup_rows.column("dedup_checks").to_pylist()) > 0
     total_hits = sum(dedup_rows.column("dedup_hits").to_pylist())
     assert total_hits == result.dedup_hits
+
+
+def test_lineage_table_matches_groupby_reference():
+    """The per-epoch lineage table sums the chunks' fetch partials per
+    partition exactly as a pandas groupby would, and its dedup row carries
+    the epoch's summed per-shard chunk counters."""
+    import pyarrow as pa
+
+    from spider_ray.pipelines.crawl import _lineage_fetch_partial, _lineage_table
+    from spider_ray.schemas import LINEAGE_SCHEMA
+
+    rng = np.random.default_rng(3)
+    parts = []
+    for n in (0, 17, 40, 3):
+        pages = pa.table({
+            "url_hash": pa.array(rng.integers(0, 2**63, n, dtype=np.uint64)),
+            "cache_hit": pa.array(rng.random(n) < 0.3),
+            "status": pa.array(rng.choice([200, 404, 503], n).astype(np.int32)),
+        })
+        parts.append(_lineage_fetch_partial(pages, 4))
+    partials = pa.concat_tables(parts)
+    got = _lineage_table(7, partials, 50, 20, np.array([[3, 1], [4, 2]]))
+    assert got.schema == LINEAGE_SCHEMA
+    ref = (
+        partials.to_pandas()
+        .groupby("partition_id", as_index=False)[["rows", "cache_hits", "errors"]]
+        .sum()
+    )
+    fetch = got.filter(pc.equal(got.column("stage"), "fetch")).to_pandas()
+    assert fetch["partition_id"].tolist() == ref["partition_id"].tolist()
+    assert fetch["rows_in"].tolist() == ref["rows"].tolist() == fetch["rows_out"].tolist()
+    assert fetch["cache_hits"].tolist() == ref["cache_hits"].tolist()
+    assert fetch["errors"].tolist() == ref["errors"].tolist()
+    assert fetch["fetches"].tolist() == (ref["rows"] - ref["cache_hits"]).tolist()
+    assert got.to_pylist()[-1] == {
+        "epoch": 7, "partition_id": -1, "stage": "dedup", "rows_in": 50,
+        "rows_out": 20, "fetches": None, "cache_hits": None,
+        "dedup_checks": 7, "dedup_hits": 3, "errors": None, "wall_ms": None,
+    }

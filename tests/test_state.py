@@ -194,3 +194,42 @@ def test_link_frontier_survives_source_deletion(tmp_path):
     write_table(t2, str(src), "part-00001.parquet")
     store.link_frontier(0, extra, [str(src)])
     assert sorted(store.read("frontier", 0).column("url").to_pylist()) == ["c", "d"]
+
+
+def test_politeness_screen_matches_separate_calls(ray_session):
+    """``PolitenessPool.screen`` gives the mask and Crawl-delay caps of
+    ensure_robots + allowed + delay_caps in one call per owning actor, and
+    fetches each host's robots.txt once however many waves it screens."""
+    import collections
+
+    from spider_ray.state.politeness import PolitenessPool
+
+    robots = {
+        "priv.test": "User-agent: *\nDisallow: /private/\n",
+        "slow.test": "User-agent: *\nCrawl-delay: 7.5\n",
+        "open.test": None,
+    }
+    fetched = collections.Counter()
+
+    def fetch_robots(host):
+        fetched[host] += 1
+        return robots[host]
+
+    waves = [
+        [("priv.test", "/private/a"), ("slow.test", "/a"), ("priv.test", "/b")],
+        [("open.test", "/x"), ("priv.test", "/private/b"), ("slow.test", "/b")],
+        [("slow.test", "/c"), ("open.test", "/private/y"), ("priv.test", "/private/c")],
+    ]
+    pool = PolitenessPool.create(n_actors=2, budget_per_wave=12)
+    ref = PolitenessPool.create(n_actors=2, budget_per_wave=12)
+    for rows in waves:
+        hosts = [h for h, _ in rows]
+        urls = [f"http://{h}{path}" for h, path in rows]
+        allowed, caps = pool.screen(hosts, urls, fetch_robots)
+        ref.ensure_robots(hosts, lambda h: robots[h])
+        want = ref.allowed(hosts, urls)
+        assert allowed.tolist() == want.tolist()
+        assert caps == ref.delay_caps([h for h, a in zip(hosts, want) if a])
+    assert fetched == {h: 1 for h in robots}
+    assert caps == {"slow.test": 8, "open.test": None}  # floor(60 / 7.5)
+    assert pool.screen([], [], fetch_robots)[0].size == 0
