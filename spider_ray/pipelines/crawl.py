@@ -62,6 +62,21 @@ Both fetch modes write pages/images/documents partition files from the
 executing worker; the driver's control plane per wave is counters + fresh
 candidates. The dispatch loop sends ~2 strided chunks per fetch slot,
 primed two deep, so the end-of-wave barrier tail is one small chunk.
+
+Start-up is paid by every ``run_crawl``, so by every resume too. Three
+rules keep it off the first wave's critical path:
+
+- **Boot order.** The raylet starts fresh actor processes about two at a
+  time. The fetch pool is created first, so it boots in the first round;
+  the seen shards and politeness actors follow, and the shards reach the
+  workers through one ``attach`` call queued ahead of their first chunk.
+- **Warm-up.** A fetch worker's constructor pays the chunk routine's
+  first-use imports, overlapping the state actors' boot instead of
+  delaying the first chunk.
+- **Arrow IPC wire.** Every table the crawl sends through Ray goes as an
+  Arrow IPC stream (``storage.to_wire``/``from_wire``): chunks, chunk
+  results and write-task payloads. No crawl process uses Ray's
+  ``pa.Table`` pickler, which imports ``ray.air`` (~0.7 s) on first use.
 """
 
 from __future__ import annotations
@@ -84,7 +99,7 @@ from ..schemas import (
     PAGES_SCHEMA,
 )
 from ..sources.fixtures import MockWeb, MockWebConfig
-from ..sources.storage import WRITE_TASK_NUM_CPUS, EpochStore
+from ..sources.storage import WRITE_TASK_NUM_CPUS, EpochStore, from_wire, to_wire
 from ..stages.fetch import FetchStage
 from ..stages.parse import priority_from_hash
 from ..state.politeness import POLITENESS_NUM_CPUS, PolitenessPool
@@ -123,14 +138,15 @@ class CrawlConfig:
     driver_wave_threshold: int = 200_000  # frontier rows above this → Dataset path
     keep_page_content: bool = False  # drop big HTML from the pages sink by default
     # 'pool'   — persistent fetch actors reused across waves (amortizes
-    #            stateful setup the way a browser pool must; fast for the
-    #            many-small-wave regime)
+    #            stateful setup the way a browser pool must); the default
+    #            and the mode every benchmark runs
     # 'dataset'— the same fused chunk pipeline as independent Ray TASKS
     #            (per-worker-process stage cache, no persistent pool; for
-    #            deployments where actors can't be pinned / huge waves)
-    # 'auto'   — dataset when the wave exceeds dataset_wave_threshold rows
-    fetch_mode: str = "auto"
-    dataset_wave_threshold: int = 20_000
+    #            deployments where actors can't be pinned). The driver's
+    #            distributed crawl-order query uses it. One crawl never
+    #            mixes the two: a pool holding the CPU budget would starve
+    #            dataset tasks forever
+    fetch_mode: str = "pool"
     # response cache inside fetch workers: off by default for the crawl —
     # the seen-set already guarantees ≤1 fetch per URL, so per-URL cache-key
     # hashing (sha256 + canonical JSON) is pure overhead; retries refetch
@@ -199,6 +215,12 @@ class CrawlConfig:
     pipeline_waves: bool = False
     spec_wave_frac: float = 0.5
 
+    def __post_init__(self):
+        if self.fetch_mode not in ("pool", "dataset"):
+            raise ValueError(
+                f"fetch_mode must be 'pool' or 'dataset', not {self.fetch_mode!r}"
+            )
+
     def key(self) -> str:
         payload = asdict(self)
         return json.dumps(payload, sort_keys=True, default=str)
@@ -225,11 +247,18 @@ class _ChunkWorker:
     (``_fetch_chunk_task``). Everything per-row (fetch, link parse,
     candidate hashing, document assembly, image decode) and the seen-set
     admission run here; the driver sees only counters + fresh candidates.
+
+    Start-up: ``run_crawl`` creates the pool before the seen shards, so
+    the shards reach a worker through ``attach``, queued ahead of its
+    first chunk (an actor's mailbox is FIFO). The constructor pays the
+    chunk routine's first-use imports while the state actors boot.
+    Tables cross Ray as Arrow IPC (``to_wire``): a chunk comes in encoded
+    and its fresh/failed/lineage tables go out encoded, so the worker
+    never loads Ray's ``pa.Table`` pickler.
     """
 
     def __init__(
         self,
-        seen: ShardedSeen,
         use_bloom: bool,
         max_depth: int | None,
         stage_kwargs: dict,
@@ -244,28 +273,41 @@ class _ChunkWorker:
         # worker-side admission: each worker probes the shared seen shards
         # for its own chunk's candidates (north rule: bloom pre-filter lives
         # in the fetch actors) — the driver never touches raw candidates
-        self.seen = seen
+        self.seen: ShardedSeen | None = None
         self.bloom = BloomFilter(1 << 21, 0.001) if use_bloom else None
         self.max_depth = max_depth
+        # warm-up: pay the chunk routine's one first-use import here, while
+        # the state actors boot, not in the first chunk — pyarrow's lazy
+        # pandas shim imports pandas (~0.34 s) on the first pa.array of
+        # Python objects; the modules _fused_chunk imports are loaded
+        # with this one
+        pa.array([0])
+
+    def attach(self, seen: ShardedSeen) -> None:
+        """Hand over the crawl's seen shards (created after this worker)."""
+        self.seen = seen
 
     def process_chunk(
         self,
-        chunk: pa.Table,
+        chunk: pa.Buffer,
         keep_content: bool,
         sink: dict,
         part_id: int,
         n_partitions: int,
     ) -> dict:
-        """``_fused_chunk`` admitting through this worker's seen handles;
-        the result also carries ``dedup``, the per-shard ``[checks, hits]``
-        of the probes this chunk sent."""
+        """``_fused_chunk`` over ``from_wire(chunk)``, admitting through
+        this worker's seen handles; its tables return ``to_wire``-encoded,
+        and the result also carries ``dedup``, the per-shard ``[checks,
+        hits]`` of the probes this chunk sent."""
         dedup = np.zeros((self.seen.n_shards, 2), dtype=np.int64)
         out = _fused_chunk(
-            self.stage, chunk, keep_content, sink, part_id, n_partitions,
+            self.stage, from_wire(chunk), keep_content, sink, part_id, n_partitions,
             lambda candidates: _chunk_dedup(
                 candidates, self.seen, self.bloom, self.max_depth, dedup
             ),
         )
+        for name in ("fresh", "failed", "lineage"):
+            out[name] = to_wire(out[name])
         out["dedup"] = dedup
         return out
 
@@ -273,7 +315,7 @@ class _ChunkWorker:
 FetchWorker = ray.remote(_ChunkWorker)
 
 
-def _worker_args(config: CrawlConfig, seen: ShardedSeen) -> tuple:
+def _worker_args(config: CrawlConfig) -> tuple:
     """Constructor args of ``_ChunkWorker`` for this crawl (both modes)."""
     stage_kwargs = {
         "web_config": config.web,
@@ -282,7 +324,7 @@ def _worker_args(config: CrawlConfig, seen: ShardedSeen) -> tuple:
         "cache_dir": config.fetch_cache_dir,
         "cache_ttl_ms": config.fetch_cache_ttl_ms,
     }
-    return (seen, config.use_bloom, config.max_depth, stage_kwargs, config.resolver_factory)
+    return (config.use_bloom, config.max_depth, stage_kwargs, config.resolver_factory)
 
 
 def _fused_chunk(
@@ -492,22 +534,23 @@ _TASK_WORKER: dict = {}
 
 @ray.remote
 def _fetch_chunk_task(
-    chunk: pa.Table,
+    chunk: pa.Buffer,
     keep_content: bool,
     sink: dict,
     part_id: int,
     n_partitions: int,
+    seen: ShardedSeen,
     worker_args: tuple,
 ) -> dict:
     """Dataset-mode fetch unit: one wave chunk per Ray TASK (no persistent
     pool — the streaming path for waves/deployments where actors can't be
     pinned). The ``_ChunkWorker`` is cached per worker PROCESS keyed by its
-    construction args (the seen handles included, so a new crawl never
-    inherits an old crawl's bloom), so session/cache/bloom state amortizes
-    across tasks exactly like an actor pool without per-wave pool startup
-    (a fresh ``map_batches`` actor pool per wave cost 2-8 s/wave at 32
+    construction args and the seen handles (so a new crawl never inherits
+    an old crawl's bloom), so session/cache/bloom state amortizes across
+    tasks exactly like an actor pool without per-wave pool startup (a
+    fresh ``map_batches`` actor pool per wave cost 2-8 s/wave at 32
     CPUs)."""
-    seen, use_bloom, max_depth, stage_kwargs, resolver_factory = worker_args
+    use_bloom, max_depth, stage_kwargs, resolver_factory = worker_args
     key = (
         tuple(seen.shards),
         use_bloom,
@@ -518,6 +561,7 @@ def _fetch_chunk_task(
     worker = _TASK_WORKER.get(key)
     if worker is None:
         worker = _ChunkWorker(*worker_args)
+        worker.attach(seen)
         _TASK_WORKER.clear()  # one live worker state per process
         _TASK_WORKER[key] = worker
     return worker.process_chunk(chunk, keep_content, sink, part_id, n_partitions)
@@ -1077,23 +1121,14 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     n_politeness = max(1, config.n_seen_shards // 2)
     slots = _fetch_slots(config, n_politeness)  # raises before any actor starts
     store = EpochStore(config.out_dir)
-    seen = ShardedSeen.create(
-        n_shards=config.n_seen_shards,
-        capacity_per_shard=config.seen_capacity_per_shard,
-        exact=config.exact_seen,
-    )
-    politeness = PolitenessPool.create(
-        n_actors=n_politeness,
-        budget_per_wave=config.max_per_host_per_wave,
-        wave_period_s=config.politeness_wave_period_s,
-        agent=config.robots_agent,
-    )
-    web = MockWeb(config.web)
-    worker_args = _worker_args(config, seen)
-    # Pure dataset mode never touches the persistent pool — building it
-    # anyway would park slots × fetch_num_cpus CPUs on idle actors and
-    # starve the Ray Data pipeline's own tasks (observed as a from_arrow
-    # metadata-task deadlock on small CPU counts).
+    worker_args = _worker_args(config)
+    # Boot order: the raylet starts actor processes about two at a time,
+    # so the fetch pool — the processes with the heaviest start-up, which
+    # the first wave waits on — is created first and boots in the first
+    # round, paying its warm-up while the seen shards and politeness
+    # actors start. Dataset mode builds no pool: it would park slots ×
+    # fetch_num_cpus CPUs on idle actors and starve the Ray Data
+    # pipeline's own tasks.
     fetch_pool = (
         []
         if config.fetch_mode == "dataset"
@@ -1102,6 +1137,20 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             for _ in range(slots)
         ]
     )
+    seen = ShardedSeen.create(
+        n_shards=config.n_seen_shards,
+        capacity_per_shard=config.seen_capacity_per_shard,
+        exact=config.exact_seen,
+    )
+    for worker in fetch_pool:
+        worker.attach.remote(seen)  # FIFO mailbox: runs before any chunk
+    politeness = PolitenessPool.create(
+        n_actors=n_politeness,
+        budget_per_wave=config.max_per_host_per_wave,
+        wave_period_s=config.politeness_wave_period_s,
+        agent=config.robots_agent,
+    )
+    web = MockWeb(config.web)
 
     start_epoch = 0
     manifest = store.manifest()
@@ -1277,7 +1326,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
 
         # ---- fetch + parse + extract + dedup (distributed) ---------------
         meta, spec_state = _fetch_wave(
-            wave_rest, config, fetch_pool, store, epoch, worker_args, slots,
+            wave_rest, config, fetch_pool, store, epoch, seen, worker_args, slots,
             carried=spec_prev, next_spec=next_spec,
         )
         if meta is None or meta["n_pages"] == 0:
@@ -1505,6 +1554,7 @@ def _fetch_wave(
     fetch_pool: list,
     store: EpochStore,
     epoch: int,
+    seen: ShardedSeen,
     worker_args: tuple,
     slots: int,
     carried: dict | None = None,
@@ -1522,10 +1572,11 @@ def _fetch_wave(
     set. The two fetch modes differ only in how a chunk is submitted: pool
     mode to a persistent ``FetchWorker`` actor, dataset mode as an
     independent ``_fetch_chunk_task`` (streaming, no pinned actors). Every
-    slot's mailbox is primed two deep, so finishing a chunk never waits a
-    driver round-trip (worker idle was ~29 % of the fetch phase with
-    depth-1 dispatch, 28 workers); any further chunk goes to whichever
-    worker frees up first.
+    chunk is submitted up front, so each slot's mailbox holds up to two
+    and finishing a chunk never waits a driver round-trip (worker idle
+    was ~29 % of the fetch phase with depth-1 dispatch, 28 workers).
+    Chunks go out and their tables come back as Arrow IPC
+    (``to_wire``/``from_wire``).
 
     Split-wave pipelining (pool mode only): ``carried`` is the speculation
     dispatched LAST epoch — its rows are this wave's head, its refs are
@@ -1533,39 +1584,30 @@ def _fetch_wave(
     ``0..n_chunks-1`` of this epoch's sinks. ``next_spec`` rows are chunked
     and queued behind this wave's chunks for the NEXT epoch; the returned
     spec_state carries their table/refs forward."""
-    use_dataset = config.fetch_mode == "dataset" or (
-        config.fetch_mode == "auto" and wave.num_rows > config.dataset_wave_threshold
-    )
     keep, n_parts = config.keep_page_content, config.n_seen_shards
-    if use_dataset:
+    if config.fetch_mode == "dataset":
         task = _fetch_chunk_task.options(num_cpus=config.fetch_num_cpus)
 
-        def submit(slot: int, chunk: pa.Table, sink: dict, part_id: int):
-            return task.remote(chunk, keep, sink, part_id, n_parts, worker_args)
+        def submit(slot: int, chunk: pa.Buffer, sink: dict, part_id: int):
+            return task.remote(chunk, keep, sink, part_id, n_parts, seen, worker_args)
     else:
-        def submit(slot: int, chunk: pa.Table, sink: dict, part_id: int):
+        def submit(slot: int, chunk: pa.Buffer, sink: dict, part_id: int):
             return fetch_pool[slot].process_chunk.remote(chunk, keep, sink, part_id, n_parts)
 
-    def strided(table: pa.Table, n: int, c: int) -> pa.Table:
-        return table.take(pa.array(range(c, table.num_rows, n)))
+    def strided(table: pa.Table, n: int, c: int) -> pa.Buffer:
+        """Chunk ``c`` of ``n`` (rows c, c+n, ...), encoded for the wire."""
+        return to_wire(table.take(pa.array(range(c, table.num_rows, n))))
 
     # with ``carried``, last epoch's speculative dispatch already emptied
     # this epoch's dirs and its chunks are writing into them
     sink = _epoch_sink(store, epoch, clear=carried is None)
     part_offset = carried["n_chunks"] if carried else 0
+    # at most two chunks per slot: all of them are dispatched at once
     n_chunks = _n_chunks(wave.num_rows, slots, 2 * slots)
-    parts: list = [None] * n_chunks
-    inflight: dict = {}
-
-    def collect_one() -> int:
-        done, _ = ray.wait(list(inflight), num_returns=1)
-        slot, c = inflight.pop(done[0])
-        parts[c] = ray.get(done[0])
-        return slot
-
-    for c in range(n_chunks):
-        slot = c % slots if c < 2 * slots else collect_one()
-        inflight[submit(slot, strided(wave, n_chunks, c), sink, part_offset + c)] = (slot, c)
+    refs = [
+        submit(c % slots, strided(wave, n_chunks, c), sink, part_offset + c)
+        for c in range(n_chunks)
+    ]
     spec_state = None
     if next_spec is not None:
         # queue next epoch's speculative chunks behind this wave's chunks
@@ -1582,19 +1624,20 @@ def _fetch_wave(
                 for c in range(n_sp)
             ],
         }
-    while inflight:
-        collect_one()
-    if carried is not None:
-        # speculation results for THIS wave's head rows (dispatched last
-        # epoch; FIFO per actor means they completed before this wave's
-        # later chunks on the same worker)
-        parts = ray.get(carried["refs"]) + parts
+    # speculation results for THIS wave's head rows come first (dispatched
+    # last epoch; FIFO per actor means they complete before this wave's
+    # later chunks on the same worker)
+    parts = ray.get((carried["refs"] if carried is not None else []) + refs)
     if not parts:
         return None, spec_state
+
+    def tables(name: str) -> pa.Table:
+        return pa.concat_tables([from_wire(p[name]) for p in parts])
+
     return {
-        "fresh": pa.concat_tables([p["fresh"] for p in parts]),
-        "failed": pa.concat_tables([p["failed"] for p in parts]),
-        "lineage_fetch": pa.concat_tables([p["lineage"] for p in parts]),
+        "fresh": tables("fresh"),
+        "failed": tables("failed"),
+        "lineage_fetch": tables("lineage"),
         "n_pages": sum(p["n_pages"] for p in parts),
         "n_images": sum(p["n_images"] for p in parts),
         "n_candidates_raw": sum(p["n_candidates_raw"] for p in parts),
