@@ -4824,7 +4824,7 @@ FROM lineitem GROUP BY l_returnflag, l_linestatus
 # ---------------------------------------------------------------------------
 
 def _collect(ds) -> pa.Table:
-    refs = ds.to_arrow_refs()
+    refs = ds.materialize().to_arrow_refs()
     tables = [ray.get(r) for r in refs]
     # empty pandas blocks can bypass a pyarrow map_batches unconverted
     tables = [

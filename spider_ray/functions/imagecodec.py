@@ -23,6 +23,7 @@ All pixel math is numpy; arrays are (h, w, 3) uint8.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 
@@ -205,36 +206,58 @@ def decode_image(data: bytes) -> np.ndarray:
     raise ValueError(f"cannot decode fmt {fmt!r}")
 
 
+# each ITU-R 601 luma weight times every uint8 level: the float64 products
+# ``to_gray`` needs, looked up per pixel rather than multiplied
+_LUMA = np.array([0.299, 0.587, 0.114])[:, None] * np.arange(256.0)
+
+
 def to_gray(pixels: np.ndarray) -> np.ndarray:
-    """ITU-R 601 luma, float64 (h, w)."""
-    arr = pixels.astype(np.float64)
-    return 0.299 * arr[..., 0] + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]
+    """ITU-R 601 luma ``0.299 R + 0.587 G + 0.114 B`` of uint8 pixels,
+    float64 (h, w)."""
+    return (
+        _LUMA[0].take(pixels[..., 0])
+        + _LUMA[1].take(pixels[..., 1])
+        + _LUMA[2].take(pixels[..., 2])
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _resize_cells(h: int, w: int, out_h: int, out_w: int) -> tuple:
+    """Row-major output cell of every input pixel of an (h, w) image
+    resized to (out_h, out_w), and each cell's pixel count (≥ 1)."""
+    ys = (np.arange(h) * out_h) // h
+    xs = (np.arange(w) * out_w) // w
+    cell = (ys[:, None] * out_w + xs[None, :]).ravel()
+    counts = np.maximum(np.bincount(cell, minlength=out_h * out_w), 1.0)
+    cell.setflags(write=False)
+    counts.setflags(write=False)
+    return cell, counts
 
 
 def _block_mean_resize(gray: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Deterministic area resize via index-bucketed block means."""
-    h, w = gray.shape
-    ys = (np.arange(h) * out_h) // h
-    xs = (np.arange(w) * out_w) // w
-    out = np.zeros((out_h, out_w))
-    counts = np.zeros((out_h, out_w))
-    np.add.at(out, (ys[:, None], xs[None, :]), gray)
-    np.add.at(counts, (ys[:, None], xs[None, :]), 1.0)
-    return out / np.maximum(counts, 1.0)
+    """Deterministic area resize via index-bucketed block means.
+
+    Input pixel (i, j) falls in cell ``(i * out_h // h, j * out_w // w)``.
+    ``np.bincount`` adds each cell's pixels in row-major input order, the
+    order an unbuffered ``np.add.at`` scatter uses, so every sum is
+    bit-identical to the scatter's."""
+    gray = np.asarray(gray, dtype=np.float64)
+    cell, counts = _resize_cells(*gray.shape, out_h, out_w)
+    sums = np.bincount(cell, weights=gray.ravel(), minlength=out_h * out_w)
+    return (sums / counts).reshape(out_h, out_w)
 
 
 def phash64(pixels: np.ndarray) -> int:
     """8×8 average-hash of the grayscale image → signed int64 (Arrow-ready)."""
     small = _block_mean_resize(to_gray(pixels), 8, 8)
-    return _pack_bits64((small > small.mean()).ravel())
+    # sum / size is the value ``small.mean()`` computes, without its overhead
+    return _pack_bits64((small > small.sum() / small.size).ravel())
 
 
 def _pack_bits64(bits: np.ndarray) -> int:
     """≤64 bits, MSB-first → signed int64 (Arrow-ready)."""
-    value = np.uint64(0)
-    for b in bits.astype(np.uint64):
-        value = (value << np.uint64(1)) | b
-    return int(np.int64(value))
+    value = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
+    return value - (1 << 64) if value >> 63 else value
 
 
 def dhash64(pixels: np.ndarray) -> int:

@@ -4,6 +4,9 @@
   (src/shared/links.ts:17-48): select ``a[href]``, absolutize against the
   base URL, dedup by absolute href keeping FIRST occurrence, project 7
   metadata fields, ``text`` = trimmed descendant text ('' when empty).
+- ``extract_link_pairs`` is the crawl's view of the same links: one
+  ``(href, text)`` pair per link, no ``Link`` objects. Both views share one
+  anchor routine (regex scan, stdlib-parser fallback, first-wins dedup).
 - ``filter_links`` reproduces the declarative link filter
   (src/platform/link-filter.ts:24-66): include = union of urlContains /
   textContains (case-insensitive contains), then excludes drop on href or
@@ -76,14 +79,17 @@ class _AnchorParser(HTMLParser):
             self.anchors.append((attrs, "".join(chunks)))
 
 
-# quote-aware attribute segment: '>' inside a quoted attribute value must
-# not terminate the tag (e.g. <a href="/x" title="a>b">) — matches the
-# cheerio/parser behavior the reference relies on (links.ts:17-48)
-_ANCHOR_OPEN_RE = re.compile(
-    r"<a(?=[\s>])((?:\"[^\"]*\"|'[^']*'|[^>])*)>", re.IGNORECASE | re.DOTALL
+# one match per anchor: the open tag's attribute segment, quote-aware so a
+# '>' inside a quoted value does not end the tag (e.g. <a href="/x"
+# title="a>b">, as the cheerio/parser behavior the reference relies on,
+# links.ts:17-48), and, in a lookahead so that an anchor opened inside
+# another is matched too, its content up to the first closing tag (to the
+# end of the document for an unclosed anchor)
+_ANCHOR_RE = re.compile(
+    r"<a(?=[\s>])((?:\"[^\"]*\"|'[^']*'|[^>])*)>(?=([^<]*(?:<(?!/a\s*>)[^<]*)*))",
+    re.IGNORECASE | re.DOTALL,
 )
 _ATTR_RE = re.compile(r'([a-zA-Z\-]+)\s*=\s*(?:"([^"]*)"|\'([^\']*)\'|([^\s>]+))')
-_CLOSE_A_RE = re.compile(r"</a\s*>", re.IGNORECASE)
 _TAG_STRIP_RE = re.compile(r"<[^>]+>")
 
 
@@ -93,20 +99,21 @@ def _scan_anchors(html: str) -> list[tuple[dict, str]]:
     (attribute unescaping, descendant text flattening, unclosed-anchor
     tail); exotic markup falls back to the parser."""
     out: list[tuple[dict, str]] = []
-    for m in _ANCHOR_OPEN_RE.finditer(html):
+    for attr_src, segment in _ANCHOR_RE.findall(html):
         attrs: dict[str, str] = {}
-        for am in _ATTR_RE.finditer(m.group(1)):
-            value = am.group(2) or am.group(3) or am.group(4) or ""
-            attrs[am.group(1).lower()] = unescape(value) if "&" in value else value
-        close = _CLOSE_A_RE.search(html, m.end())
-        segment = html[m.end() : close.start()] if close else html[m.end() :]
-        text = _TAG_STRIP_RE.sub("", segment)
+        for name, dq, sq, bare in _ATTR_RE.findall(attr_src):
+            value = dq or sq or bare
+            attrs[name.lower()] = unescape(value) if "&" in value else value
+        text = _TAG_STRIP_RE.sub("", segment) if "<" in segment else segment
         out.append((attrs, unescape(text) if "&" in text else text))
     return out
 
 
-def extract_html_links(html: str, base_url: str) -> list[Link]:
-    """Extract <a href> links with metadata; first-wins dedup by abs href."""
+def _anchors(html: str, base_url: str):
+    """Yield ``(absolute href, attrs, text)`` for every anchor with a
+    non-empty href, in document order, first-wins dedup by absolute href
+    (links.ts:31-35). Anchors come from the regex scan, or from the stdlib
+    parser when the scan finds none in markup that has some."""
     try:
         anchors = _scan_anchors(html)
     except Exception:
@@ -117,13 +124,12 @@ def extract_html_links(html: str, base_url: str) -> list[Link]:
             parser.feed(html)
             parser.close()
         except Exception:
-            return []
+            return
         anchors = [
             ({k: v for k, v in a.items() if v is not None}, t)
             for a, t in parser.anchors
         ]
     seen: set[str] = set()
-    links: list[Link] = []
     for attrs, text in anchors:
         href = attrs.get("href")
         if not href:  # falsy href (None or '') dropped — links.ts `if (!href) return`
@@ -132,18 +138,32 @@ def extract_html_links(html: str, base_url: str) -> list[Link]:
         if absolute in seen:
             continue
         seen.add(absolute)
-        links.append(
-            Link(
-                href=absolute,
-                text=text.strip() or "",
-                title=attrs.get("title"),
-                aria_label=attrs.get("aria-label"),
-                rel=attrs.get("rel"),
-                target=attrs.get("target"),
-                classes=split_classes(attrs.get("class")),
-            )
+        yield absolute, attrs, text
+
+
+def extract_html_links(html: str, base_url: str) -> list[Link]:
+    """Extract <a href> links with metadata; first-wins dedup by abs href."""
+    return [
+        Link(
+            href=absolute,
+            text=text.strip(),
+            title=attrs.get("title"),
+            aria_label=attrs.get("aria-label"),
+            rel=attrs.get("rel"),
+            target=attrs.get("target"),
+            classes=split_classes(attrs.get("class")),
         )
-    return links
+        for absolute, attrs, text in _anchors(html, base_url)
+    ]
+
+
+def extract_link_pairs(html: str, base_url: str) -> list[tuple[str, str]]:
+    """The crawl's view of ``extract_html_links``: the same links as
+    ``(href, text)`` pairs, without building ``Link`` objects."""
+    return [
+        (absolute, text.strip())
+        for absolute, _attrs, text in _anchors(html, base_url)
+    ]
 
 
 @dataclass

@@ -258,7 +258,7 @@ def _uniform_sample_matrix(
         pa.concat_tables(
             ray.get(ds.select_columns([vec_col]).limit(
                 max(1, sample_size)
-            ).to_arrow_refs())
+            ).materialize().to_arrow_refs())
         ).column(vec_col)
     )
 

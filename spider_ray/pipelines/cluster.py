@@ -83,7 +83,7 @@ def _collect_pairs(pairs) -> pa.Table:
 
     if isinstance(pairs, pa.Table):
         return pairs
-    tbls = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows]
+    tbls = [t for t in ray.get(pairs.materialize().to_arrow_refs()) if t.num_rows]
     if not tbls:
         return pa.table({"id_a": pa.array([], pa.int64()),
                          "id_b": pa.array([], pa.int64())})

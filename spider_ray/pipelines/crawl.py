@@ -90,7 +90,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..functions.urls import canonicalize_url, host_of, url_hash64
+from ..functions.urls import canonicalize_url, host_of, is_valid_url, url_hash64
 from ..schemas import (
     DOCUMENTS_SCHEMA,
     FRONTIER_SCHEMA,
@@ -338,17 +338,19 @@ def _fused_chunk(
 ) -> dict:
     """The fused per-chunk row pipeline shared by BOTH fetch modes.
 
-    Fetch → link parse → candidate/document/image assembly run row-wise
-    in plain Python, and Arrow tables are materialized exactly ONCE per
-    chunk (the earlier micro-batch implementation built + concatenated
-    + re-converted tables several times per chunk, which dominated the
-    memory-bandwidth budget at high worker counts). ``admit`` filters the
-    chunk's candidates through the seen set; the executing worker writes
-    its own pages/images/documents partition files under ``sink``
-    (table→directory), so the driver receives only counters + fresh
-    candidates."""
-    from ..functions.links import extract_html_links
-    from ..functions.urls import canonicalize_url, host_of, is_valid_url, url_hash64
+    Fetch → link parse → document/image assembly run row-wise in plain
+    Python, and Arrow tables are materialized exactly ONCE per chunk (the
+    earlier micro-batch implementation built + concatenated + re-converted
+    tables several times per chunk, which dominated the memory-bandwidth
+    budget at high worker counts). The row loop keeps each page's links
+    only as ``(href, text)`` pairs (``extract_link_pairs``, or the
+    resolver's own ``links``) with the page's row; ``_candidate_table``
+    then builds the candidates in one pass over the chunk's distinct
+    hrefs. ``admit`` filters the chunk's candidates through the seen set;
+    the executing worker writes its own pages/images/documents partition
+    files under ``sink`` (table→directory), so the driver receives only
+    counters + fresh candidates."""
+    from ..functions.links import extract_link_pairs
     from ..sources.storage import write_table
     from ..stages.parse import document_row, image_row
 
@@ -376,9 +378,11 @@ def _fused_chunk(
         pcol["content"] = []
         pcol["body_bytes"] = []
         pcol["downloads"] = []
-    cand: dict[str, list] = {k: [] for k in (
-        "url", "url_hash", "host", "depth", "parent_url_hash", "anchor_text",
-    )}
+    # every raw link of the chunk (by row, then in document order) with
+    # the row of its page; (row, position among that page's pairs) names
+    # a candidate independently of the order chunks complete in
+    link_pairs: list[tuple] = []
+    link_rows: list[int] = []
     image_rows: list[dict] = []
     doc_rows: list[dict] = []
     for i, url in enumerate(urls):
@@ -387,8 +391,10 @@ def _fused_chunk(
         content = r["content"]
         ctype = r["content_type"]
         links = r.get("links")
-        if links is None and status < 400 and ctype and "html" in ctype and content:
-            links = [l.as_dict() for l in extract_html_links(content, r["final_url"])]
+        if links is not None:  # the resolver's own pre-extracted link dicts
+            links = [(link["href"], link.get("text")) for link in links]
+        elif status < 400 and ctype and "html" in ctype and content:
+            links = extract_link_pairs(content, r["final_url"])
         pcol["url"].append(url)
         pcol["final_url"].append(r["final_url"])
         pcol["url_hash"].append(hashes[i])
@@ -414,17 +420,8 @@ def _fused_chunk(
             pcol["body_bytes"].append(r["body_bytes"])
             pcol["downloads"].append(r.get("downloads"))
         if links:
-            for link in links:
-                href = link["href"]
-                if not is_valid_url(href):
-                    continue
-                canonical = canonicalize_url(href)
-                cand["url"].append(canonical)
-                cand["url_hash"].append(url_hash64(canonical))
-                cand["host"].append(host_of(canonical))
-                cand["depth"].append((depths[i] or 0) + 1)
-                cand["parent_url_hash"].append(hashes[i])
-                cand["anchor_text"].append(link.get("text"))
+            link_pairs += links
+            link_rows += [i] * len(links)
         img = image_row(url, r["body_bytes"], status, anchors[i])
         if img is not None:
             image_rows.append(img)
@@ -436,21 +433,6 @@ def _fused_chunk(
         if doc is not None:
             doc_rows.append(doc)
 
-    n = len(cand["url"])
-    cand_hashes = np.array(cand["url_hash"], dtype=np.uint64)
-    candidates = pa.table(
-        {
-            "url": pa.array(cand["url"], pa.string()),
-            "url_hash": pa.array(cand_hashes, pa.uint64()),
-            "host": pa.array(cand["host"], pa.string()),
-            "priority": pa.array(priority_from_hash(cand_hashes), pa.float64()),
-            "depth": pa.array(cand["depth"], pa.int32()),
-            "discovered_at": pa.nulls(n, pa.timestamp("ms")),
-            "parent_url_hash": pa.array(cand["parent_url_hash"], pa.uint64()),
-            "attempts": pa.array([0] * n, pa.int32()),
-            "anchor_text": pa.array(cand["anchor_text"], pa.string()),
-        }
-    )
     slim_cols = list(_PAGE_SLIM_COLS) + (
         ["content", "body_bytes", "downloads"] if keep_content else []
     )
@@ -465,6 +447,7 @@ def _fused_chunk(
         pa.Table.from_pylist(doc_rows, schema=DOCUMENTS_SCHEMA)
         if doc_rows else DOCUMENTS_SCHEMA.empty_table()
     )
+    candidates = _candidate_table(link_pairs, np.array(link_rows, dtype=np.int64), pages)
     out = {
         "n_candidates_raw": candidates.num_rows,
         "n_pages": pages.num_rows,
@@ -480,6 +463,50 @@ def _fused_chunk(
     if documents.num_rows:
         write_table(documents, sink["documents"], name)
     return out
+
+
+def _candidate_table(pairs: list[tuple], rows: np.ndarray, pages: pa.Table) -> pa.Table:
+    """A chunk's candidates from its raw links: ``pairs[k]`` is the
+    ``(href, text)`` of a link on the page in row ``rows[k]`` of
+    ``pages``. Validity, canonical URL, ``url_hash64`` and host are
+    computed once per distinct href of the chunk; links with an invalid
+    href are dropped, and each kept link takes its depth (the page's + 1)
+    and ``parent_url_hash`` from its page's row."""
+    slot: dict = {}
+    href_slot = np.fromiter(
+        (slot.setdefault(href, len(slot)) for href, _text in pairs),
+        dtype=np.int64, count=len(pairs),
+    )
+    valid = np.zeros(len(slot), dtype=bool)
+    urls: list = [None] * len(slot)
+    hosts: list = [None] * len(slot)
+    keys = np.zeros(len(slot), dtype=np.uint64)
+    for s, href in enumerate(slot):
+        if is_valid_url(href):
+            canonical = canonicalize_url(href)
+            valid[s] = True
+            urls[s] = canonical
+            hosts[s] = host_of(canonical)
+            keys[s] = url_hash64(canonical)
+    kept = np.flatnonzero(valid[href_slot])
+    kept_slot = pa.array(href_slot[kept])
+    kept_rows = pa.array(rows[kept])
+    url_hash = keys[href_slot[kept]]
+    n = len(kept)
+    return pa.table(
+        {
+            "url": pa.array(urls, pa.string()).take(kept_slot),
+            "url_hash": pa.array(url_hash, pa.uint64()),
+            "host": pa.array(hosts, pa.string()).take(kept_slot),
+            "priority": pa.array(priority_from_hash(url_hash), pa.float64()),
+            "depth": pc.add(pc.fill_null(pages.column("depth"), 0), pa.scalar(1, pa.int32()))
+            .take(kept_rows).combine_chunks(),
+            "discovered_at": pa.nulls(n, pa.timestamp("ms")),
+            "parent_url_hash": pages.column("url_hash").take(kept_rows).combine_chunks(),
+            "attempts": pa.array(np.zeros(n, dtype=np.int32)),
+            "anchor_text": pa.array([pairs[k][1] for k in kept.tolist()], pa.string()),
+        }
+    )
 
 
 def _shard_counts(keys: np.ndarray, unseen: np.ndarray, n_shards: int) -> np.ndarray:

@@ -1031,7 +1031,7 @@ def dedup_against_reference(
 
     ref_ds = None
     if hasattr(ref_hashes, "map_batches"):  # ray Dataset
-        ref_ds = ref_hashes
+        ref_ds = ref_hashes.materialize()
         n_ref = ref_ds.count()
     else:
         if not isinstance(ref_hashes, pa.Array):

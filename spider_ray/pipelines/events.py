@@ -406,7 +406,7 @@ def global_topk(ds, k: int, sort_keys: list[tuple[str, str]]):
     parts = [
         t
         for t in _ray.get(
-            ds.map_batches(local_k, batch_format="pyarrow").to_arrow_refs()
+            ds.map_batches(local_k, batch_format="pyarrow").materialize().to_arrow_refs()
         )
         if not isinstance(t, pd.DataFrame) and t.num_rows
     ]

@@ -91,7 +91,7 @@ def approx_distinct(
     if not group_cols:
         blobs = [
             b
-            for t in partials.to_arrow_refs()
+            for t in partials.materialize().to_arrow_refs()
             for b in _ray_get(t).column("__sketch").to_pylist()
         ]
         est = kmv_estimate(_merge_sketches(blobs, k), k) if blobs else 0
@@ -163,7 +163,7 @@ def heavy_hitters(ds, col: str, num: int = 1, den: int = 5, k: int | None = None
         ray.get(
             ds.map_batches(
                 lambda b: mg_partial(b, col, k), batch_format="pyarrow"
-            ).to_arrow_refs()
+            ).materialize().to_arrow_refs()
         )
     )
     markers = partials.filter(pc.is_null(partials.column(col)))
@@ -202,7 +202,7 @@ def heavy_hitters(ds, col: str, num: int = 1, den: int = 5, k: int | None = None
         for t in ray.get(
             counts.map_batches(
                 lambda t: t.rename_columns([col, "cnt"]), batch_format="pyarrow"
-            ).to_arrow_refs()
+            ).materialize().to_arrow_refs()
         )
         if t.num_rows
     ]
@@ -257,7 +257,7 @@ def approx_quantiles(ds, col: str, qs=(0.25, 0.5, 0.75, 0.95, 0.99), m: int = 25
             ds.map_batches(
                 lambda b: quantile_sketch_partials(b, col, m),
                 batch_format="pyarrow",
-            ).to_arrow_refs()
+            ).materialize().to_arrow_refs()
         )
         if not isinstance(t, pd.DataFrame) and t.num_rows
     ]

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from spider_ray.functions import imagecodec
 from spider_ray.functions.imagecodec import (
+    _block_mean_resize,
+    _pack_bits64,
+    dct_phash64,
     decode_fake_jpeg,
     decode_image,
     decode_png,
+    dhash64,
     encode_fake_jpeg,
     encode_png,
     hamming64,
     phash64,
     psnr,
     sniff_format,
+    to_gray,
 )
 
 
@@ -113,3 +119,98 @@ def test_dhash_dct_phash_reencode_stability():
         jpg = decode_image(encode_image(px, "jpeg"))
         assert hamming64(dhash64(png), dhash64(jpg)) <= 3, i
         assert hamming64(dct_phash64(png), dct_phash64(jpg)) <= 3, i
+
+
+# --- exactness of the vectorized kernels -----------------------------------
+# The references are the kernels the hashes were first defined by (per-pixel
+# luma products, an ``np.add.at`` scatter, ``mean()`` and a 64-step uint64
+# shift loop); the stored phash values of every crawl, and the oracle
+# literals, come from them.
+
+def _ref_pack_bits64(bits):
+    value = np.uint64(0)
+    for b in bits.astype(np.uint64):
+        value = (value << np.uint64(1)) | b
+    return int(np.int64(value))
+
+
+def _ref_to_gray(px):
+    arr = px.astype(np.float64)
+    return 0.299 * arr[..., 0] + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]
+
+
+def _ref_block_mean_resize(gray, out_h, out_w):
+    h, w = gray.shape
+    ys = (np.arange(h) * out_h) // h
+    xs = (np.arange(w) * out_w) // w
+    out = np.zeros((out_h, out_w))
+    counts = np.zeros((out_h, out_w))
+    np.add.at(out, (ys[:, None], xs[None, :]), gray)
+    np.add.at(counts, (ys[:, None], xs[None, :]), 1.0)
+    return out / np.maximum(counts, 1.0)
+
+
+def _ref_phash64(px):
+    small = _ref_block_mean_resize(_ref_to_gray(px), 8, 8)
+    return _ref_pack_bits64((small > small.mean()).ravel())
+
+
+def _ref_dhash64(px):
+    small = _ref_block_mean_resize(_ref_to_gray(px), 8, 9)
+    return _ref_pack_bits64((small[:, 1:] > small[:, :-1]).ravel())
+
+
+def _ref_dct_phash64(px):
+    dct_phash64(px)  # builds the module's DCT matrix
+    mat = imagecodec._DCT32
+    g = _ref_block_mean_resize(_ref_to_gray(px), 32, 32)
+    vals = (mat @ g @ mat.T)[:8, :8].ravel()[1:]
+    return _ref_pack_bits64(vals > np.median(vals))
+
+
+_SHAPES = [(16, 16), (32, 32), (17, 13), (16, 18), (7, 5), (4, 4)]
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_block_mean_resize_is_bit_identical_to_the_scatter(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for _ in range(8):
+        px = rng.integers(0, 256, size=(*shape, 3), dtype=np.uint8)
+        gray = to_gray(px)
+        assert _bits_equal(gray, _ref_to_gray(px))
+        for out_h, out_w in ((8, 8), (8, 9), (32, 32)):
+            assert _bits_equal(
+                _block_mean_resize(gray, out_h, out_w),
+                _ref_block_mean_resize(gray, out_h, out_w),
+            ), (shape, out_h, out_w)
+        # the thumbnail stage resizes one uint8 channel cast to float64
+        channel = px[..., 0].astype(np.float64)
+        assert _bits_equal(
+            _block_mean_resize(channel, 16, 16), _ref_block_mean_resize(channel, 16, 16)
+        )
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_image_hashes_are_bit_identical_to_the_scalar_kernels(shape):
+    rng = np.random.default_rng(7 + shape[0] * 100 + shape[1])
+    for _ in range(8):
+        px = rng.integers(0, 256, size=(*shape, 3), dtype=np.uint8)
+        assert phash64(px) == _ref_phash64(px)
+        assert dhash64(px) == _ref_dhash64(px)
+        assert dct_phash64(px) == _ref_dct_phash64(px)
+
+
+def test_pack_bits64_matches_the_shift_loop_for_1_to_64_bits():
+    rng = np.random.default_rng(11)
+    for n in range(1, 65):
+        patterns = [np.ones(n, bool), np.zeros(n, bool)] + [
+            rng.random(n) > 0.5 for _ in range(6)
+        ]
+        for bits in patterns:
+            got = _pack_bits64(bits)
+            assert got == _ref_pack_bits64(bits), (n, bits)
+            assert -(2**63) <= got < 2**63
