@@ -9,7 +9,7 @@ actor-pool stages":
   ``hash(host) % n_actors`` — one actor owns a host's robots.txt, so every
   fetch decision about a host reads the same rules.
 - The crawl's per-host cap (``max_per_host_per_wave``) is NOT applied here:
-  it is the driver's deterministic wave cut (``crawl.wave_select_arrow``),
+  it is the driver's deterministic wave cut (``crawl.RunSet.cut``),
   so a hot host can never dominate a wave and its overflow is deferred to
   the next one. What the crawl asks the actors for is robots.txt and
   Crawl-delay only: ``PolitenessPool.screen`` makes ONE call per owning

@@ -150,6 +150,81 @@ def test_politeness_cap_defers_but_preserves_seen_set(ray_session, tmp_path):
     assert result.epochs > len(set(oracle.values()))  # deferral stretched epochs
 
 
+def capped_wave_simulator(cfg: MockWebConfig, seeds: list[str], wave_k: int, cap: int):
+    """Independent wave-by-wave replay of a crawl of the fixture graph
+    under a per-host cap: each epoch sorts the frontier by (priority desc,
+    url_hash asc) — both from md5, as perfbench/oracle.py computes them —
+    takes a row while its host has fewer than ``cap`` rows in the wave and
+    the wave has fewer than ``wave_k``, defers the rest, and expands the
+    wave's pages along ``out_link_ids`` and ``image_url``. Returns the
+    (epoch, seq, url) order and, per epoch, whether the cap skipped a row."""
+    import collections
+    import hashlib
+
+    def key(url: str):
+        digest = hashlib.md5(url.encode()).digest()
+        return -(int.from_bytes(digest[:4], "big") % 1000), int.from_bytes(digest[:8], "big")
+
+    page_ids = {page_url(i, cfg): i for i in range(cfg.n_pages)}
+    seen = set(seeds)
+    frontier = sorted(seen)
+    order, capped = [], []
+    while frontier:
+        frontier.sort(key=key)
+        per_host = collections.Counter()
+        wave, deferred = [], []
+        for url in frontier:
+            host = url.split("/")[2]
+            if len(wave) < wave_k and per_host[host] < cap:
+                per_host[host] += 1
+                wave.append(url)
+            else:
+                deferred.append(url)
+        capped.append(len(wave) < min(wave_k, len(frontier)))
+        epoch = len(capped) - 1
+        for seq, url in enumerate(wave):
+            order.append((epoch, seq, url))
+            if url not in page_ids:  # an image: no out-links
+                continue
+            i = page_ids[url]
+            links = [page_url(j, cfg) for j in out_link_ids(i, cfg.n_pages)]
+            if i % cfg.img_every == 0:
+                links.append(image_url(i, cfg))
+            for link in links:
+                if link not in seen:
+                    seen.add(link)
+                    deferred.append(link)
+        frontier = deferred
+    return order, capped
+
+
+def test_capped_crawl_order_matches_wave_simulator(ray_session, tmp_path):
+    """With a per-host cap that binds in early epochs and not in late
+    ones, the exact (epoch, seq, url) order equals the wave simulator's —
+    and again after a resume from a mid-run checkpoint, whose frontier
+    holds the rows the cap skipped."""
+    cfg = MockWebConfig(n_pages=120, n_hosts=3, img_every=5)
+    config = CrawlConfig(
+        out_dir=str(tmp_path / "capped"), seeds=seed_urls(cfg, every=30), web=cfg,
+        wave_k=25, max_per_host_per_wave=6, exact_seen=True, fetch_concurrency=2,
+    )
+    expected, capped = capped_wave_simulator(cfg, config.seeds, 25, 6)
+    assert any(capped[:3]) and not capped[-1]
+
+    def crawl_order():
+        order = EpochStore(config.out_dir).read_all("order").sort_by(
+            [("epoch", "ascending"), ("seq", "ascending")]
+        )
+        return list(zip(*(order.column(c).to_pylist() for c in ("epoch", "seq", "url"))))
+
+    result = run_crawl(config)
+    assert crawl_order() == expected
+    assert result.epochs == len(capped)
+    _truncate_to_checkpoint(config.out_dir, 3)
+    run_crawl(config, resume=True)
+    assert crawl_order() == expected
+
+
 def test_resume_equivalence(ray_session, tmp_path):
     cfg = MockWebConfig(n_pages=120, n_hosts=7)
     seeds = seed_urls(cfg, every=40)
@@ -255,9 +330,10 @@ def test_pipelined_crawl_same_set_and_totals(ray_session, tmp_path):
 
 def test_pipelined_resume_completes_universe(ray_session, tmp_path):
     """Resume of an interrupted pipelined crawl: checkpoints taken while
-    speculation is in flight include the speculated rows (_spec_view), so
-    the resumed crawl completes the exact universe. Pipelined resume
-    preserves the fetched SET and totals, not (epoch, seq)."""
+    speculation is in flight include the speculated rows
+    (_checkpoint_frontier's ``spec``), so the resumed crawl completes the
+    exact universe. Pipelined resume preserves the fetched SET and totals,
+    not (epoch, seq)."""
     from dataclasses import replace
 
     cfg = MockWebConfig(n_pages=150, n_hosts=7, img_every=5)

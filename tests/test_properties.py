@@ -132,47 +132,62 @@ def test_process_html_idempotent(html):
 @given(
     st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=999),  # priority millis
-            st.integers(min_value=0, max_value=2**63 - 1),  # url_hash
+            # priority millis; the extremes fill the composite's top bits
+            st.one_of(st.sampled_from([0, 999]), st.integers(min_value=0, max_value=999)),
+            # url_hash; small values share their top 54 bits, so their
+            # composites collide and only the full hash orders them
+            st.one_of(
+                st.integers(min_value=0, max_value=4095),
+                st.integers(min_value=0, max_value=2**63 - 1),
+            ),
+            st.sampled_from([None, "", "a.test", "b.test", "c.test"]),  # host
         ),
         min_size=1,
         max_size=120,
         unique_by=lambda t: t[1],
     ),
     st.integers(min_value=1, max_value=130),
-    st.integers(min_value=1, max_value=4),
+    st.one_of(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=130)),
+    st.lists(st.integers(min_value=0, max_value=120), max_size=4),
 )
-@settings(max_examples=40, deadline=None)
-def test_runset_cut_property(rows, wave_k, n_runs):
-    """RunSet.cut == materialized wave_select_arrow for arbitrary
-    priorities/hashes, any run split, any wave_k."""
-    import numpy as np
+@settings(max_examples=150, deadline=None)
+def test_runset_cut_property(rows, wave_k, cap, splits):
+    """RunSet.cut == the sequential reference scan for arbitrary
+    priorities, hashes and hosts (null included), any per-host cap, any
+    run split and any wave_k; and the leftover's own cut continues the
+    global order."""
     import pyarrow as pa
-
-    from spider_ray.pipelines.crawl import RunSet, wave_select_arrow
+    from test_wave_select import runset_of, sequential_cut
 
     n = len(rows)
     frontier = pa.table(
         {
-            "url": pa.array([f"http://h.test/{h}" for _, h in rows]),
-            "url_hash": pa.array([h for _, h in rows], pa.uint64()),
-            "host": pa.array(["h.test"] * n),
-            "priority": pa.array([p / 1000.0 for p, _ in rows], pa.float64()),
+            "url": pa.array([f"http://h.test/{h}" for _, h, _ in rows]),
+            "url_hash": pa.array([h for _, h, _ in rows], pa.uint64()),
+            "host": pa.array([host for _, _, host in rows], pa.string()),
+            "priority": pa.array([p / 1000.0 for p, _, _ in rows], pa.float64()),
             "depth": pa.array([0] * n, pa.int32()),
             "attempts": pa.array([0] * n, pa.int32()),
         }
     )
-    rs = RunSet()
-    bounds = sorted({0, n} | set(
-        np.linspace(0, n, n_runs + 1).astype(int).tolist()
-    ))
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > lo:
-            assert rs.add_table(frontier.slice(lo, hi - lo))
-    wave_rs, leftover = rs.cut(wave_k)
-    wave_np, deferred_np = wave_select_arrow(frontier, wave_k, 10**9)
-    assert wave_rs.column("url_hash").to_pylist() == wave_np.column("url_hash").to_pylist()
-    assert leftover.count == deferred_np.num_rows
+    hashes = frontier.column("url_hash").to_pylist()
+    wave, leftover = runset_of(frontier, sorted({0, n} | {s for s in splits if s < n})).cut(
+        wave_k, cap
+    )
+    expected, deferred = sequential_cut(frontier, wave_k, cap)
+    assert wave.column("url_hash").to_pylist() == [hashes[i] for i in expected]
+    assert leftover.count == len(deferred)
+    # the leftover walked uncapped is the deferred rows in global order ...
+    rest, _ = leftover.cut(n, n)
+    assert rest.column("url_hash").to_pylist() == [hashes[i] for i in deferred]
+    # ... and its capped cut is the reference cut of the deferred rows
+    deferred_table = frontier.take(pa.array(deferred, pa.int64()))
+    if deferred:
+        wave2, _ = leftover.cut(wave_k, cap)
+        expected2, _ = sequential_cut(deferred_table, wave_k, cap)
+        assert wave2.column("url_hash").to_pylist() == [
+            deferred_table.column("url_hash")[i].as_py() for i in expected2
+        ]
 
 
 @given(

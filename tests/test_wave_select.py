@@ -1,5 +1,8 @@
-"""The two wave-selection implementations (numpy fast path vs Ray Data
-groupby/sort path) must pick identical waves."""
+"""The wave cut: the driver's sorted-run cut (``RunSet.cut``) must equal a
+sequential reference scan and the Ray Data groupby/sort cut
+(``wave_select_dataset``), row for row."""
+
+import collections
 
 import numpy as np
 import pyarrow as pa
@@ -7,7 +10,37 @@ import pytest
 
 import ray
 
-from spider_ray.pipelines.crawl import wave_select_arrow, wave_select_dataset
+from spider_ray.pipelines.crawl import RunSet, wave_select_dataset
+
+
+def sequential_cut(frontier: pa.Table, wave_k: int, cap: int) -> tuple[list[int], list[int]]:
+    """Reference wave cut: walk the rows in (priority desc, url_hash asc)
+    order, take a row while its host (a null host is ``""``) has fewer
+    than ``cap`` taken rows and the budget remains. Returns the row
+    indices of (wave, deferred), both in that order."""
+    prio = frontier.column("priority").to_pylist()
+    hashes = frontier.column("url_hash").to_pylist()
+    hosts = frontier.column("host").to_pylist()
+    order = sorted(range(frontier.num_rows), key=lambda i: (-prio[i], hashes[i]))
+    counts = collections.defaultdict(int)
+    wave, deferred = [], []
+    for i in order:
+        host = hosts[i] or ""
+        if len(wave) < wave_k and counts[host] < cap:
+            counts[host] += 1
+            wave.append(i)
+        else:
+            deferred.append(i)
+    return wave, deferred
+
+
+def runset_of(frontier: pa.Table, bounds=None) -> RunSet:
+    """A RunSet holding ``frontier`` split into runs at ``bounds``."""
+    bounds = bounds or [0, frontier.num_rows]
+    rs = RunSet()
+    for lo, hi in zip(bounds, bounds[1:]):
+        rs.add_table(frontier.slice(lo, hi - lo))
+    return rs
 
 
 def _frontier(n=500, hosts=5, seed=3):
@@ -27,65 +60,58 @@ def _frontier(n=500, hosts=5, seed=3):
     )
 
 
+def _urls(frontier: pa.Table, rows: list[int]) -> list[str]:
+    return frontier.column("url").take(pa.array(rows, pa.int64())).to_pylist()
+
+
 @pytest.mark.parametrize("wave_k,cap", [(100, 10), (50, 1000), (10_000, 3)])
 def test_wave_paths_equivalent(ray_session, wave_k, cap):
     frontier = _frontier()
-    wave_a, deferred_a = wave_select_arrow(frontier, wave_k, cap)
+    wave_a, leftover = runset_of(frontier, [0, 120, 500]).cut(wave_k, cap)
     wave_b, _deferred_b = wave_select_dataset(
         ray.data.from_arrow(frontier), wave_k, cap
     )
     a = wave_a.select(["url", "priority"]).to_pydict()
     b = wave_b.select(["url", "priority"]).to_pydict()
     assert a == b
-    assert wave_a.num_rows + deferred_a.num_rows == frontier.num_rows
+    assert wave_a.num_rows + leftover.count == frontier.num_rows
 
 
 @pytest.mark.parametrize("wave_k", [10, 100, 499, 500, 5000])
 def test_runset_cut_equals_materialized_cut(wave_k):
-    """The LSM sorted-run frontier must cut EXACTLY the same wave, in the
-    same order, as the materialized numpy cut — including across multiple
-    runs with duplicated priorities (boundary ties)."""
-    from spider_ray.pipelines.crawl import RunSet, wave_select_arrow
-
+    """The sorted-run frontier must cut EXACTLY the wave, in the same
+    order, that the reference scan of the materialized frontier cuts —
+    including across multiple runs with duplicated priorities (boundary
+    ties)."""
     frontier = _frontier(n=500, hosts=5)
     # split into 3 uneven runs to exercise the multi-run merge
-    rs = RunSet()
-    for lo, hi in ((0, 50), (50, 300), (300, 500)):
-        assert rs.add_table(frontier.slice(lo, hi - lo))
-    wave_rs, leftover = rs.cut(wave_k)
-    wave_np, deferred_np = wave_select_arrow(frontier, wave_k, 10**9)
-    assert wave_rs.select(["url", "priority"]).to_pydict() == \
-        wave_np.select(["url", "priority"]).to_pydict()
-    assert leftover.count == deferred_np.num_rows
+    wave_rs, leftover = runset_of(frontier, [0, 50, 300, 500]).cut(wave_k, 10**9)
+    wave, deferred = sequential_cut(frontier, wave_k, 10**9)
+    assert wave_rs.column("url").to_pylist() == _urls(frontier, wave)
+    assert leftover.count == len(deferred)
     # leftover rows are exactly the complement
-    got = set(wave_rs.column("url").to_pylist())
-    left_urls = set(leftover.to_table().column("url").to_pylist())
-    assert got | left_urls == set(frontier.column("url").to_pylist())
-    assert not (got & left_urls)
+    left_urls = leftover.to_table().column("url").to_pylist()
+    assert sorted(left_urls) == sorted(_urls(frontier, deferred))
 
 
 def test_runset_iterated_cuts_match_full_order():
     """Cut-k repeatedly (re-adding nothing) must walk the full frontier in
     exact global order — the crawl's epoch sequence."""
-    from spider_ray.pipelines.crawl import RunSet, wave_select_arrow
-
     frontier = _frontier(n=300, hosts=4, seed=9)
-    full_order, _ = wave_select_arrow(frontier, 10**9, 10**9)
-    rs = RunSet()
-    assert rs.add_table(frontier)
+    full_order, _ = sequential_cut(frontier, 10**9, 10**9)
+    rs = runset_of(frontier)
     walked = []
     while rs.count:
-        wave, rs = rs.cut(37)
+        wave, rs = rs.cut(37, 10**9)
         walked.extend(wave.column("url").to_pylist())
-    assert walked == full_order.column("url").to_pylist()
+    assert walked == _urls(frontier, full_order)
 
 
 def test_wave_budget_and_cap_respected():
     frontier = _frontier(n=200, hosts=4)
-    wave, deferred = wave_select_arrow(frontier, wave_k=30, max_per_host=5)
+    wave, leftover = runset_of(frontier).cut(30, 5)
     assert wave.num_rows == 20  # 4 hosts × cap 5 < budget 30
-    import collections
-
+    assert leftover.count == 180
     per = collections.Counter(wave.column("host").to_pylist())
     assert max(per.values()) <= 5
     # wave is in (priority desc, hash asc) order
@@ -96,16 +122,9 @@ def test_wave_budget_and_cap_respected():
 
 
 def test_host_cap_vectorized_matches_sequential_reference():
-    """The vectorized host-cap cut equals the sequential scan it
-    replaced: walk rows in wave order, take while host count < cap and
-    budget remains."""
-    import collections
-
-    import numpy as np
-    import pyarrow as pa
-
-    from spider_ray.pipelines.crawl import wave_select_arrow
-
+    """The vectorized host-cap cut equals the sequential scan: walk rows
+    in wave order, take while host count < cap and budget remains — for
+    any split of the frontier into runs."""
     rng = np.random.default_rng(17)
     n = 500
     frontier = pa.table(
@@ -121,28 +140,36 @@ def test_host_cap_vectorized_matches_sequential_reference():
         }
     )
     for wave_k, cap in [(50, 3), (200, 10), (500, 2), (10, 1)]:
-        wave, deferred = wave_select_arrow(frontier, wave_k, cap)
-        # reference sequential scan over the same total order
-        prio = frontier.column("priority").to_numpy()
-        hashes = frontier.column("url_hash").to_numpy().astype(np.uint64)
-        order = np.lexsort((hashes, -prio))
-        hosts = frontier.column("host").to_pylist()
-        counts = collections.defaultdict(int)
-        take = []
-        budget = wave_k
-        for pos in order:
-            if budget == 0:
-                break
-            if counts[hosts[pos]] < cap:
-                counts[hosts[pos]] += 1
-                take.append(pos)
-                budget -= 1
-        expected = [frontier.column("url")[i].as_py() for i in take]
-        assert wave.column("url").to_pylist() == expected, (wave_k, cap)
-        assert wave.num_rows + deferred.num_rows == n
+        for bounds in ([0, n], [0, 17, 260, n]):
+            wave, leftover = runset_of(frontier, bounds).cut(wave_k, cap)
+            expected, deferred = sequential_cut(frontier, wave_k, cap)
+            assert wave.column("url").to_pylist() == _urls(frontier, expected), (wave_k, cap)
+            # the skipped rows stay in global order as one run
+            assert leftover.to_table().column("url").to_pylist() == _urls(frontier, deferred)
 
 
-def test_wave_select_arrow_null_host(ray_session):
+def test_cut_orders_composite_collisions_by_full_hash():
+    """Rows whose sort composites collide (equal priority, equal top 54
+    hash bits) are ordered by their full hash in both cuts, also when the
+    colliding rows sit in different runs."""
+    n = 40
+    frontier = pa.table(
+        {
+            "url": [f"u{i}" for i in range(n)],
+            "url_hash": pa.array(np.arange(n, 0, -1), pa.uint64()),  # one 1024-block
+            "host": pa.array([f"h{i % 3}" for i in range(n)]),
+            "priority": pa.array([0.5] * n),
+        }
+    )
+    for cap in (4, 10**9):
+        wave, leftover = runset_of(frontier, [0, 13, 27, n]).cut(10, cap)
+        expected, deferred = sequential_cut(frontier, 10, cap)
+        assert wave.column("url").to_pylist() == _urls(frontier, expected), cap
+        rest, _ = leftover.cut(n, n)
+        assert rest.column("url").to_pylist() == _urls(frontier, deferred), cap
+
+
+def test_runset_cut_null_host():
     """A null host must behave as an ordinary politeness key (ADVICE r3):
     the capped cut over a frontier with None hosts equals the cut over
     the identical frontier with None replaced by a sentinel string."""
@@ -150,6 +177,8 @@ def test_wave_select_arrow_null_host(ray_session):
     host = frontier.column("host").to_pylist()
     for i in range(0, len(host), 7):
         host[i] = None
+    for i in range(3, len(host), 11):  # null and "" are ONE politeness key
+        host[i] = ""
     with_null = frontier.set_column(
         frontier.schema.get_field_index("host"), "host",
         pa.array(host, pa.string()),
@@ -158,8 +187,9 @@ def test_wave_select_arrow_null_host(ray_session):
         frontier.schema.get_field_index("host"), "host",
         pa.array(["" if h is None else h for h in host], pa.string()),
     )
-    wave_a, deferred_a = wave_select_arrow(with_null, 60, 5)
-    wave_b, _ = wave_select_arrow(with_sentinel, 60, 5)
+    wave_a, leftover_a = runset_of(with_null).cut(60, 5)
+    wave_b, _ = runset_of(with_sentinel).cut(60, 5)
     assert wave_a.select(["url", "priority"]).to_pydict() == \
         wave_b.select(["url", "priority"]).to_pydict()
-    assert wave_a.num_rows + deferred_a.num_rows == with_null.num_rows
+    assert wave_a.num_rows + leftover_a.count == with_null.num_rows
+    assert wave_a.column("url").to_pylist() == _urls(with_null, sequential_cut(with_null, 60, 5)[0])
