@@ -9,7 +9,10 @@ fetch scheduler". Per wave (epoch):
    ``sort(priority desc, url_hash asc) . limit(wave_k)``. The total order
    tie-break on ``url_hash`` is what makes crawl ordering reproducible
    under parallelism (reference ordering = caller order + priority chains,
-   SURVEY.md §2.7 O6).
+   SURVEY.md §2.7 O6). With ``respect_robots`` the politeness actors
+   screen the cut, fetching robots.txt through the resolver seam
+   (``state/politeness.py``): disallowed rows are dropped and logged,
+   Crawl-delay overflow and failed-robots hosts deferred.
 2. **Fetch + parse + extract + admit** — one data path per chunk: the
    wave is cut into strided chunks, and each runs the fused row pipeline
    (``_fused_chunk``) on a ``_ChunkWorker``, which fetches (adapter
@@ -71,8 +74,9 @@ rules keep it off the first wave's critical path:
 
 - **Boot order.** The raylet starts fresh actor processes about two at a
   time. The fetch pool is created first, so it boots in the first round;
-  the seen shards and politeness actors follow, and the shards reach the
-  workers through one ``attach`` call queued ahead of their first chunk.
+  the seen shards and (robots on only) the politeness actors follow, and
+  the shards reach the workers through one ``attach`` call queued ahead
+  of their first chunk.
 - **Warm-up.** A fetch worker's constructor pays the chunk routine's
   first-use imports, overlapping the state actors' boot instead of
   delaying the first chunk.
@@ -101,7 +105,7 @@ from ..schemas import (
     LINEAGE_SCHEMA,
     PAGES_SCHEMA,
 )
-from ..sources.fixtures import MockWeb, MockWebConfig
+from ..sources.fixtures import MockWebConfig
 from ..sources.storage import WRITE_TASK_NUM_CPUS, EpochStore, from_wire, to_wire
 from ..stages.fetch import FetchStage
 from ..stages.parse import priority_from_hash
@@ -137,7 +141,7 @@ class CrawlConfig:
     respect_robots: bool = False
     # Crawl-delay → per-host tokens: a wave models this many seconds of
     # polite wall-clock, so Crawl-delay: d grants floor(period/d) tokens
-    # per wave (state/politeness.py budget_for)
+    # per wave (state/politeness.py delay_budget)
     politeness_wave_period_s: float = 60.0
     robots_agent: str = "*"
     driver_wave_threshold: int = 200_000  # frontier rows above this → Dataset path
@@ -189,6 +193,8 @@ class CrawlConfig:
     #             the bounded fixpoint (≤3 rounds crawlee / ≤10 tree,
     #              2-empty stop) and counts interactions; a resolver
     #             without expand() crawls expansion-free (fetch.py:191).
+    #   robots    with respect_robots, each politeness actor runs the
+    #             factory once too; robots.txt uses resolve() only
     #   lifecycle the factory runs inside the actor, so the browser
     #             process is launched once per actor and amortized across
     #             every wave the actor serves (ST2); hold the
@@ -1039,14 +1045,15 @@ def _fetch_slots(config: CrawlConfig, n_politeness: int) -> int:
 def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     """Run (or resume) a crawl to completion; everything checkpointed per
     epoch. Ray must already be initialized by the caller."""
-    n_politeness = max(1, config.n_seen_shards // 2)
+    # the politeness actors hold robots state only: none on a robots-off crawl
+    n_politeness = max(1, config.n_seen_shards // 2) if config.respect_robots else 0
     slots = _fetch_slots(config, n_politeness)  # raises before any actor starts
     store = EpochStore(config.out_dir)
     worker_args = _worker_args(config)
     # Boot order: the raylet starts actor processes about two at a time,
     # so the fetch pool — the processes with the heaviest start-up, which
     # the first wave waits on — is created first and boots in the first
-    # round, paying its warm-up while the seen shards and politeness
+    # round, paying its warm-up while the seen shards and any politeness
     # actors start. Dataset mode builds no pool: it would park slots ×
     # fetch_num_cpus CPUs on idle actors and starve the Ray Data
     # pipeline's own tasks.
@@ -1070,8 +1077,9 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         budget_per_wave=config.max_per_host_per_wave,
         wave_period_s=config.politeness_wave_period_s,
         agent=config.robots_agent,
+        resolver_factory=config.resolver_factory,
+        web_config=config.web,
     )
-    web = MockWeb(config.web)
 
     start_epoch = 0
     manifest = store.manifest()
@@ -1172,12 +1180,11 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             frontier.cleanup()
         dropped = None
         if config.respect_robots:  # mutually exclusive with pipelining
-            # one call per owning politeness actor: robots.txt for new
-            # hosts in, the allowed mask and Crawl-delay budgets out
+            # one call per owning politeness actor (robots.txt fetched
+            # there): the allowed mask and Crawl-delay budgets out
             allowed, caps = politeness.screen(
                 wave_rest.column("host").to_pylist(),
                 wave_rest.column("url").to_pylist(),
-                web.robots_txt,
             )
             # disallowed rows leave the crawl here: they are in neither
             # order nor frontier, so their keys are logged for the rebuild
@@ -1202,13 +1209,13 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             else wave_rest
         )
         if wave.num_rows == 0:
-            if deferred.count == 0:
-                break
             # everything admissible this wave was robots-filtered; advance
             # (no order table: the drop log rides with the next checkpoint)
             if drop_log := _drop_log(dropped):
                 unflushed_refs.append(store.write_async(epoch, drop_log))
             frontier = deferred
+            if frontier.count == 0:  # done: this uncounted epoch ran no
+                break  # wave; the final checkpoint gets the empty frontier
             epoch += 1
             continue
 
@@ -1320,11 +1327,14 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         store.mark_epoch_complete(prev_epoch, config.key(), prev_counters)
         pending_writes = None
     if unflushed_refs or (epoch > start_epoch and store.last_epoch() != epoch - 1):
-        # final (partial-interval) checkpoint so the finished state is durable
-        if frontier_table := _checkpoint_frontier(store, epoch - 1, frontier):
+        # final (partial-interval) checkpoint so the finished state is
+        # durable; a fresh crawl whose first cut robots dropped whole has
+        # only its drop log to write
+        if epoch > 0 and (frontier_table := _checkpoint_frontier(store, epoch - 1, frontier)):
             unflushed_refs.append(store.write_async(epoch - 1, frontier_table))
         ray.get(unflushed_refs)
-        store.mark_epoch_complete(epoch - 1, config.key(), dedup.tolist())
+        if epoch > 0:
+            store.mark_epoch_complete(epoch - 1, config.key(), dedup.tolist())
         unflushed_refs = []
     store.mark_done()
     seen_size = seen.stats()["n_items"]
@@ -1332,7 +1342,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     # out-of-scope handles: the pool alone reserves fetch_concurrency ×
     # fetch_num_cpus CPUs, which would starve whatever the caller runs next
     # (the bench's query suite measured ~2× slower behind a lingering pool).
-    for actor in [*(fetch_pool or []), *seen.shards, *politeness.actors]:
+    for actor in [*fetch_pool, *seen.shards, *politeness.actors]:
         ray.kill(actor, no_restart=True)
     return CrawlResult(
         out_dir=config.out_dir,
@@ -1362,14 +1372,16 @@ def _wave_cut_driver(
 def _rebuild_seen(seen: ShardedSeen, store: EpochStore, last: int, frontier_keys) -> None:
     """Rebuild the seen shards for a resume from checkpoint ``last``. Every
     key the crawl admitted up to then is in one of its tables: fetched
-    (``order`` ≤ last), robots-dropped (``dropped`` ≤ last) or waiting
+    (``order`` ≤ last), robots-dropped (``dropped`` ≤ last + 1) or waiting
     (``frontier_keys``, the checkpoint frontier's url_hash column, batch by
-    batch). Only the url_hash column is read; a load never counts (the
-    dedup counters come from the manifest)."""
+    batch). Epoch last + 1 was cut from that frontier, so its drop log
+    holds admitted keys only — the sole record of a last cut robots
+    dropped whole. Only the url_hash column is read; a load never counts
+    (the dedup counters come from the manifest)."""
     logged = (
         store.read(table, e, ["url_hash"]).column("url_hash")
-        for table in ("order", "dropped")
-        for e in store.epochs(table, last)
+        for table, upto in (("order", last), ("dropped", last + 1))
+        for e in store.epochs(table, upto)
     )
     seen.load(
         keys.to_numpy() for keys in itertools.chain(logged, frontier_keys)

@@ -712,11 +712,6 @@ def _simhash64_core(token_lists: list[list[str]]) -> np.ndarray:
     return values
 
 
-def simhash64(text: str) -> int:
-    """Single-text convenience wrapper over ``simhash64_batch``."""
-    return int(simhash64_batch([text])[0])
-
-
 def simhash_band_rows(batch: pa.Table, id_col="doc_id", text_col="text") -> pa.Table:
     ids = batch.column(id_col).to_numpy(zero_copy_only=False)
     texts = batch.column(text_col).to_pylist()

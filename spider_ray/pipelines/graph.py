@@ -40,15 +40,6 @@ def out_degrees(edges_ds):
     )
 
 
-def symmetrize(edges_ds):
-    """Undirected closure: edges ∪ reversed(edges), distinct."""
-    rev = edges_ds.map_batches(
-        lambda t: pa.table({"src": t.column("dst"), "dst": t.column("src")}),
-        batch_format="pyarrow",
-    )
-    return dedup_edges(edges_ds.union(rev))
-
-
 def _uf_contract(batch: pa.Table) -> pa.Table:
     """Contract one edge partition with union-find (union-by-min + path
     compression): emit one (src=node, dst=partition-local component min)

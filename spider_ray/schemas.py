@@ -149,14 +149,3 @@ LINEAGE_SCHEMA = pa.schema(
     ]
 )
 
-
-def validate_table(table: pa.Table, schema: pa.Schema, stage: str = "") -> pa.Table:
-    """Cast a block to the canonical schema, raising with stage context.
-
-    Column order is normalized; extra columns are an error (fixed schemas,
-    mirroring the reference's static typing).
-    """
-    try:
-        return table.select(schema.names).cast(schema)
-    except (KeyError, pa.ArrowInvalid, pa.ArrowTypeError) as exc:  # pragma: no cover
-        raise ValueError(f"schema mismatch at stage {stage!r}: {exc}") from exc

@@ -225,6 +225,10 @@ class MockWeb:
         self.cfg = cfg
 
     def robots_txt(self, host: str) -> str | None:
+        """The robots.txt ``resolve`` serves for ``host`` (200), or None
+        (404) — always None for a host outside the universe."""
+        if not _served(host):
+            return None
         lines = []
         if self.cfg.with_private:
             lines.append("Disallow: /private/")
@@ -298,7 +302,7 @@ class MockWeb:
             path = "/" + path
         except (IndexError, ValueError):
             return MockResponse(url, url, 400, "text/plain", content="bad url")
-        if not (host.startswith("h") and host.endswith(".test")):
+        if not _served(host):
             return MockResponse(url, url, 404, "text/plain", content="offsite")
 
         if path == "/robots.txt":
@@ -444,6 +448,11 @@ class MockWeb:
             # lossy codec by design
             "phash": phash64(decode_image(data)),
         }
+
+
+def _served(host: str) -> bool:
+    """Whether ``MockWeb`` serves ``host`` (the universe's ``h*.test``)."""
+    return host.startswith("h") and host.endswith(".test")
 
 
 def _host_id(host: str) -> int | None:

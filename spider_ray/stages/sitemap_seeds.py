@@ -63,13 +63,8 @@ class SitemapStage:
         ``/sitemap.xml`` convention when robots is absent or silent."""
         import urllib.robotparser
 
-        robots = None
-        if hasattr(self.web, "robots_txt"):
-            robots = self.web.robots_txt(host)
-        else:
-            resp = self.web.resolve(f"http://{host}/robots.txt", attempts=0)
-            if resp.status < 400:
-                robots = resp.content
+        resp = self.web.resolve(f"http://{host}/robots.txt", attempts=0)
+        robots = resp.content if resp.status < 400 else None
         if robots:
             parser = urllib.robotparser.RobotFileParser()
             parser.parse(robots.splitlines())

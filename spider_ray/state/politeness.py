@@ -7,34 +7,44 @@ actor-pool stages":
 
 - Hosts are partitioned over a small pool of ``HostBudgetActor``s keyed by
   ``hash(host) % n_actors`` — one actor owns a host's robots.txt, so every
-  fetch decision about a host reads the same rules.
-- The crawl's per-host cap (``max_per_host_per_wave``) is NOT applied here:
-  it is the driver's deterministic wave cut (``crawl.RunSet.cut``),
-  so a hot host can never dominate a wave and its overflow is deferred to
-  the next one. What the crawl asks the actors for is robots.txt and
-  Crawl-delay only: ``PolitenessPool.screen`` makes ONE call per owning
-  actor per wave, which installs robots.txt for hosts the client has not
-  sent before, and returns the allowed mask and each host's Crawl-delay
-  wave budget (floor(wave_period_s / delay) tokens — deterministic, no
-  sleeps, so crawl ordering stays reproducible).
-- robots.txt: fetched once per host through the engine's own fetch adapter,
-  parsed with the stdlib parser (``parse_robots``, which also reads a
-  fractional Crawl-delay the stdlib parser alone would drop), cached in the
-  owning actor.
-- ``acquire``/``begin_wave`` (per-wave token counting in the actor) and the
-  one-concern calls ``ensure_robots``/``allowed``/``delay_caps`` remain as
-  library API; the crawl does not call them.
+  fetch decision about a host reads the same rules. The actors hold
+  robots state only, so ``run_crawl`` starts them only with
+  ``respect_robots``.
+- The per-host cap (``max_per_host_per_wave``) is the driver's wave cut
+  (``crawl.RunSet.cut``), not applied here. ``PolitenessPool.screen``
+  makes ONE call per owning actor per wave and returns the robots mask
+  and each host's Crawl-delay wave budget (floor(wave_period_s / delay)
+  tokens — deterministic, no sleeps, so crawl ordering is reproducible).
+- robots.txt is fetched by the owning actor inside ``screen``, once per
+  host, through the crawl's resolver seam: one resolver per actor from
+  ``resolver_factory`` (None → ``MockWeb``, as in ``FetchStage``), asked
+  for ``<scheme>://<netloc>/robots.txt`` of the host's first URL in the
+  wave (``urls.host_of`` drops the port). The driver fetches nothing.
+  Statuses map as RFC 9309 §2.3.1 says: a 2xx is parsed (first 500 KiB;
+  ``parse_robots`` also reads a fractional Crawl-delay) and cached; any
+  other status under 500 allows everything and is cached; a 5xx or the
+  resolver's 599 (unreachable) caches nothing and gives the host a
+  budget of 0, so ``crawl_delay_keep`` defers all its rows to the next
+  wave, whose ``screen`` asks again — until robots.txt answers or
+  ``max_epochs`` ends the crawl. Failure stays data: nothing is dropped
+  and nothing raises.
+- ``begin_wave`` and the one-concern calls ``ensure_robots``/``allowed``/
+  ``delay_caps`` remain as library API; the crawl does not call them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
+import urllib.parse
 import urllib.robotparser
 
 import numpy as np
 import ray
+
+from ..sources.fixtures import MockWeb, MockWebConfig
 
 
 def host_shard(host: str, n_actors: int) -> int:
@@ -44,6 +54,16 @@ def host_shard(host: str, n_actors: int) -> int:
 # a Crawl-delay line's value (key matched the way the stdlib parser
 # matches it: case-insensitive, whitespace around the colon, comment cut)
 _CRAWL_DELAY = re.compile(r"(?im)^(\s*crawl-delay\s*:)([^#\r\n]*)")
+
+
+# RFC 9309 §2.5: a crawler parses at least the first 500 KiB of robots.txt
+ROBOTS_MAX_BYTES = 500 * 1024
+
+
+def robots_url(url: str) -> str:
+    """The robots.txt URL of ``url``'s scheme and netloc (port kept)."""
+    parts = urllib.parse.urlsplit(url)
+    return f"{parts.scheme}://{parts.netloc}/robots.txt"
 
 
 def parse_robots(robots_txt: str, agent: str):
@@ -92,7 +112,6 @@ class HostBudgetState:
         self.tokens: dict[str, int] = {}
         self.robots: dict[str, urllib.robotparser.RobotFileParser | None] = {}
         self.delays: dict[str, float | None] = {}
-        self._budget_cache: dict[str, int] = {}
 
     def begin_wave(self) -> None:
         self.tokens.clear()  # fresh budget each wave
@@ -106,30 +125,7 @@ class HostBudgetState:
             return None
         return max(1, min(self.budget_per_wave, int(self.wave_period_s / delay)))
 
-    def budget_for(self, host: str) -> int:
-        """Per-host wave budget, honoring robots Crawl-delay when the
-        host declared one for our agent (else the global budget)."""
-        cached = self._budget_cache.get(host)
-        if cached is not None:
-            return cached
-        budget = self.delay_budget(host)
-        if budget is None:
-            budget = self.budget_per_wave
-        self._budget_cache[host] = budget
-        return budget
-
-    def acquire(self, hosts: list[str]) -> np.ndarray:
-        """Grant/deny one token per row, in order (deterministic)."""
-        out = np.zeros(len(hosts), dtype=bool)
-        for i, h in enumerate(hosts):
-            used = self.tokens.get(h, 0)
-            if used < self.budget_for(h):
-                self.tokens[h] = used + 1
-                out[i] = True
-        return out
-
     def set_robots(self, host: str, robots_txt: str | None) -> None:
-        self._budget_cache.pop(host, None)  # delay may have changed
         if robots_txt is None:
             self.robots[host] = self.delays[host] = None
             return
@@ -146,11 +142,32 @@ class HostBudgetState:
             (parser.can_fetch(agent, u) for u in urls), dtype=bool, count=len(urls)
         )
 
-    def screen(self, urls_by_host: dict, agent: str = "*") -> tuple[dict, dict]:
+    def fetch_robots(self, host: str, url: str, resolve) -> bool:
+        """Fetch and cache ``host``'s robots.txt at ``url``'s scheme and
+        netloc through a resolver's ``resolve``; False (nothing cached)
+        on a 5xx or an unreachable host."""
+        resp = resolve(robots_url(url), 0)
+        if resp.status >= 500:
+            return False
+        if 200 <= resp.status < 300:
+            body = resp.content.encode() if resp.content is not None else resp.body_bytes or b""
+            self.set_robots(host, body[:ROBOTS_MAX_BYTES].decode("utf-8", "replace"))
+        else:
+            self.set_robots(host, None)
+        return True
+
+    def screen(self, urls_by_host: dict, resolve, agent: str = "*") -> tuple[dict, dict]:
         """(host → robots mask of its urls, host → Crawl-delay budget or
-        None for every host with at least one allowed url)."""
+        None for every host with at least one allowed url), fetching
+        robots.txt for hosts not cached; 0 when it did not answer."""
+        unreachable = [
+            h for h, urls in urls_by_host.items()
+            if not self.robots_known(h) and not self.fetch_robots(h, urls[0], resolve)
+        ]
         masks = {h: self.allowed(h, urls, agent) for h, urls in urls_by_host.items()}
-        return masks, {h: self.delay_budget(h) for h, m in masks.items() if m.any()}
+        caps = {h: self.delay_budget(h) for h, m in masks.items() if m.any()}
+        caps.update(dict.fromkeys(unreachable, 0))
+        return masks, caps
 
 
 POLITENESS_NUM_CPUS = 0.1
@@ -163,14 +180,17 @@ class HostBudgetActor:
         budget_per_wave: int,
         wave_period_s: float = 60.0,
         agent: str = "*",
+        resolver_factory=None,
+        web_config: MockWebConfig | None = None,
     ):
         self.state = HostBudgetState(budget_per_wave, wave_period_s, agent)
+        self._make_resolver = resolver_factory or functools.partial(
+            MockWeb, web_config or MockWebConfig()
+        )
+        self._resolver = None
 
     def begin_wave(self) -> None:
         self.state.begin_wave()
-
-    def acquire(self, hosts: list[str]) -> np.ndarray:
-        return self.state.acquire(hosts)
 
     def set_robots(self, host: str, robots_txt: str | None) -> None:
         self.state.set_robots(host, robots_txt)
@@ -184,21 +204,22 @@ class HostBudgetActor:
     def delay_budgets(self, hosts: list[str]) -> list:
         return [self.state.delay_budget(h) for h in hosts]
 
-    def screen(self, robots: dict, urls_by_host: dict, agent: str = "*"):
-        for host, robots_txt in robots.items():
-            self.state.set_robots(host, robots_txt)
-        return self.state.screen(urls_by_host, agent)
+    def _resolve(self, url: str, attempts: int):
+        if self._resolver is None:  # built on the first robots.txt fetch
+            self._resolver = self._make_resolver()
+        return self._resolver.resolve(url, attempts)
+
+    def screen(self, urls_by_host: dict, agent: str = "*"):
+        return self.state.screen(urls_by_host, self._resolve, agent)
 
 
 class PolitenessPool:
-    """Client over the host-budget actors (serializable: handles plus the
-    set of hosts whose robots.txt ``screen`` has already sent)."""
+    """Client over the host-budget actors (serializable: the handles)."""
 
     def __init__(self, actors: list, agent: str = "*"):
         self.actors = actors
         self.n = len(actors)
         self.agent = agent
-        self.robots_sent: set[str] = set()
 
     @classmethod
     def create(
@@ -207,45 +228,35 @@ class PolitenessPool:
         budget_per_wave: int = 64,
         wave_period_s: float = 60.0,
         agent: str = "*",
+        resolver_factory=None,
+        web_config: MockWebConfig | None = None,
     ) -> "PolitenessPool":
         return cls(
             [
-                HostBudgetActor.remote(budget_per_wave, wave_period_s, agent)
+                HostBudgetActor.remote(
+                    budget_per_wave, wave_period_s, agent, resolver_factory, web_config
+                )
                 for _ in range(n_actors)
             ],
             agent=agent,
         )
 
+    def _by_actor(self, hosts) -> dict[int, list[str]]:
+        """Owning actor → its hosts, in the order given."""
+        by_actor: dict[int, list[str]] = {}
+        for h in hosts:
+            by_actor.setdefault(host_shard(h, self.n), []).append(h)
+        return by_actor
+
     def begin_wave(self) -> None:
         ray.get([a.begin_wave.remote() for a in self.actors])
-
-    def acquire(self, hosts: list[str]) -> np.ndarray:
-        """Order-preserving token acquisition across the owning actors."""
-        if not hosts:
-            return np.zeros(0, dtype=bool)
-        shard = np.fromiter(
-            (host_shard(h, self.n) for h in hosts), dtype=np.int64, count=len(hosts)
-        )
-        refs = {}
-        for s in range(self.n):
-            idx = np.nonzero(shard == s)[0]
-            if idx.size:
-                refs[s] = (idx, self.actors[s].acquire.remote([hosts[i] for i in idx]))
-        out = np.zeros(len(hosts), dtype=bool)
-        for s, (idx, ref) in refs.items():
-            out[idx] = ray.get(ref)
-        return out
 
     def ensure_robots(self, hosts: list[str], fetch_robots) -> None:
         """Fetch+cache robots.txt for any unknown host. ``fetch_robots(host)``
         returns the robots.txt text or None (no robots → allow all)."""
-        uniq = sorted(set(hosts))
-        by_actor: dict[int, list[str]] = {}
-        for h in uniq:
-            by_actor.setdefault(host_shard(h, self.n), []).append(h)
         unknown_refs = {
             s: self.actors[s].robots_unknown_hosts.remote(hs)
-            for s, hs in by_actor.items()
+            for s, hs in self._by_actor(sorted(set(hosts))).items()
         }
         sets = []
         for s, ref in unknown_refs.items():
@@ -256,13 +267,9 @@ class PolitenessPool:
     def delay_caps(self, hosts: list[str]) -> dict:
         """host → Crawl-delay wave budget (None = no directive), for the
         distinct hosts given. One round-trip per owning actor."""
-        uniq = sorted(set(hosts))
-        by_actor: dict[int, list[str]] = {}
-        for h in uniq:
-            by_actor.setdefault(host_shard(h, self.n), []).append(h)
         refs = [
             (hs, self.actors[s].delay_budgets.remote(hs))
-            for s, hs in by_actor.items()
+            for s, hs in self._by_actor(sorted(set(hosts))).items()
         ]
         out: dict = {}
         for hs, ref in refs:
@@ -286,26 +293,21 @@ class PolitenessPool:
             out[np.array(idx)] = ray.get(ref)
         return out
 
-    def screen(self, hosts: list[str], urls: list[str], fetch_robots) -> tuple[np.ndarray, dict]:
-        """One wave's robots screen in ONE call per owning actor: installs
-        robots.txt (``fetch_robots(host)``, text or None) for every host
-        not sent before, and returns ``(allowed, caps)`` — the same mask and
-        Crawl-delay budgets as ``ensure_robots`` + ``allowed`` +
-        ``delay_caps`` over the allowed rows' hosts."""
+    def screen(self, hosts: list[str], urls: list[str]) -> tuple[np.ndarray, dict]:
+        """One wave's robots screen in ONE call per owning actor:
+        ``(allowed, caps)``, the robots mask and the Crawl-delay budgets
+        of the allowed rows' hosts (see ``HostBudgetState.screen``)."""
         if not urls:
             return np.zeros(0, dtype=bool), {}
         rows: dict[str, list[int]] = {}
         for i, h in enumerate(hosts):
             rows.setdefault(h, []).append(i)
-        by_actor: dict[int, list[str]] = {}
-        for h in rows:
-            by_actor.setdefault(host_shard(h, self.n), []).append(h)
-        refs = []
-        for s, hs in by_actor.items():
-            robots = {h: fetch_robots(h) for h in hs if h not in self.robots_sent}
-            self.robots_sent.update(robots)
-            urls_by_host = {h: [urls[i] for i in rows[h]] for h in hs}
-            refs.append(self.actors[s].screen.remote(robots, urls_by_host, self.agent))
+        refs = [
+            self.actors[s].screen.remote(
+                {h: [urls[i] for i in rows[h]] for h in hs}, self.agent
+            )
+            for s, hs in self._by_actor(rows).items()
+        ]
         allowed = np.ones(len(urls), dtype=bool)
         caps: dict = {}
         for masks, actor_caps in ray.get(refs):

@@ -595,6 +595,35 @@ def test_robots_respected_end_to_end(ray_session, tmp_path):
     assert any("/p/" in u for u in fetched)
 
 
+def test_last_wave_all_disallowed_is_logged(ray_session, tmp_path):
+    """When robots drop the whole last cut wave and nothing is deferred,
+    the crawl still logs those keys in ``dropped`` (under the uncounted
+    epoch after the last wave), its last frontier checkpoint is empty, and
+    a resume of the finished store rebuilds the same seen set."""
+    from spider_ray.pipelines.crawl import frontier_from_seeds
+
+    cfg = MockWebConfig(n_pages=80, n_hosts=7, with_private=True)
+    config = CrawlConfig(
+        out_dir=str(tmp_path / "robots"), seeds=seed_urls(cfg, every=20),
+        web=cfg, wave_k=10_000, exact_seen=True, fetch_concurrency=2,
+        respect_robots=True,
+    )
+    result = run_crawl(config)
+    store = EpochStore(config.out_dir)
+    order = store.read_all("order")
+    assert max(order.column("epoch").to_pylist()) == result.epochs - 1
+    assert store.last_epoch() == result.epochs - 1
+    assert store.read("frontier", store.last_epoch()).num_rows == 0
+    # every fetched page links its /private/ twin: each one is dropped once
+    ids = [int(u.rsplit("/", 1)[1]) for u in order.column("url").to_pylist() if "/p/" in u]
+    private = frontier_from_seeds([f"http://h{i % cfg.n_hosts}.test/private/{i}" for i in ids])
+    dropped = store.read_all("dropped").column("url_hash").to_pylist()
+    assert sorted(dropped) == sorted(private.column("url_hash").to_pylist())
+    assert store.epochs("dropped")[-1] == result.epochs  # the last cut wave
+    resumed = run_crawl(config, resume=True)
+    assert (resumed.epochs, resumed.seen_size) == (0, result.seen_size)
+
+
 def test_crawl_delay_keep_matches_reference_loop():
     """The vectorized Crawl-delay keep-mask (crawl_delay_keep) must be
     row-identical to the per-row loop it replaced — including null

@@ -104,11 +104,12 @@ def test_fully_distributed_path_equivalent_and_resumable(ray_session, tmp_path):
 
 
 def test_cpu_budget_without_room_for_a_worker_raises(ray_session, tmp_path):
-    """4 seen shards (0.4) + 2 politeness actors (0.2) + a checkpoint write
-    (0.25) + one 3.5-CPU fetch worker exceed the session's 4 CPUs: the
-    crawl must refuse before starting any actor instead of waiting forever."""
+    """4 seen shards (0.4) + a checkpoint write (0.25) + one 3.5-CPU fetch
+    worker exceed the session's 4 CPUs (a robots-off crawl starts no
+    politeness actor): the crawl must refuse before starting any actor
+    instead of waiting forever."""
     config = _base(tmp_path, "too_big", fetch_num_cpus=3.5)
-    with pytest.raises(ValueError, match=r"needs 4\.35 CPUs .* has 4\.00"):
+    with pytest.raises(ValueError, match=r"needs 4\.15 CPUs .* has 4\.00"):
         run_crawl(config)
     assert not os.path.exists(config.out_dir)
 

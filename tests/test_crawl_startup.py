@@ -3,6 +3,7 @@ fetch worker's first chunk imports nothing, and crawl tables cross Ray as
 Arrow IPC (``to_wire``/``from_wire``) with their exact schema."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pyarrow as pa
@@ -43,7 +44,8 @@ class _Recording:
 def test_fetch_pool_is_submitted_before_the_state_actors(ray_session, tmp_path, monkeypatch):
     """The raylet boots actor processes a couple at a time, so the fetch
     workers (the heaviest start-up, which the first wave waits on) are
-    asked for first, and the seen shards and politeness actors after."""
+    asked for first, and the seen shards and politeness actors after. A
+    robots-off crawl starts no politeness actor."""
     log: list = []
     monkeypatch.setattr(crawl, "FetchWorker", _Recording(crawl.FetchWorker, "fetch", log))
     monkeypatch.setattr(seen, "SeenShardActor", _Recording(seen.SeenShardActor, "seen", log))
@@ -51,15 +53,20 @@ def test_fetch_pool_is_submitted_before_the_state_actors(ray_session, tmp_path, 
         politeness, "HostBudgetActor",
         _Recording(politeness.HostBudgetActor, "politeness", log),
     )
-    web = MockWebConfig(n_pages=60, n_hosts=3)
-    result = run_crawl(CrawlConfig(
+    web = MockWebConfig(n_pages=60, n_hosts=3, with_private=True)
+    config = CrawlConfig(
         out_dir=str(tmp_path / "crawl"), seeds=seed_urls(web, every=20), web=web,
-        n_seen_shards=2, fetch_concurrency=2,
-    ))
+        n_seen_shards=2, fetch_concurrency=2, respect_robots=True,
+    )
+    result = run_crawl(config)
     assert result.pages_fetched > 0
     assert log.count("fetch") == 2 and log.count("seen") == 2
     assert log.count("politeness") == 1
     assert log.index("seen") > max(i for i, name in enumerate(log) if name == "fetch")
+    assert log.index("politeness") > log.index("seen")
+    log.clear()
+    assert run_crawl(replace(config, out_dir=str(tmp_path / "off"), respect_robots=False)).pages_fetched
+    assert log.count("politeness") == 0 and log.count("seen") == 2
 
 
 def _modules(worker) -> set:

@@ -71,6 +71,31 @@ def test_fixture_variants():
     assert pdf.status == 200 and pdf.body_bytes.startswith(b"%PDF-")
 
 
+def test_resolve_serves_robots_txt():
+    """``MockWeb.resolve`` serves ``/robots.txt`` as ``robots_txt(host)``
+    (200) or 404 when the host has no rules — the crawl's politeness
+    actors read robots only through ``resolve``."""
+    import itertools
+
+    for private, delay, sitemaps in itertools.product((False, True), (0.0, 10.0), (False, True)):
+        cfg = MockWebConfig(
+            n_pages=50, n_hosts=5, with_private=private, crawl_delay_s=delay,
+            with_sitemaps=sitemaps,
+        )
+        web = MockWeb(cfg)
+        for host in [f"h{i}.test" for i in range(cfg.n_hosts)] + ["outside.example.org"]:
+            resp = web.resolve(f"http://{host}/robots.txt", 0)
+            want = web.robots_txt(host)
+            if want is None:
+                assert resp.status == 404, (host, cfg)
+            else:
+                assert (resp.status, resp.content) == (200, want), (host, cfg)
+        # every fixture rule lands on the universe's hosts only
+        assert (web.robots_txt("h0.test") is not None) == (private or sitemaps)
+        assert (web.robots_txt("h1.test") is not None) == (private or sitemaps or delay > 0)
+        assert web.robots_txt("outside.example.org") is None
+
+
 def test_seed_urls():
     cfg = MockWebConfig(n_pages=200)
     seeds = seed_urls(cfg, every=50)

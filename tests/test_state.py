@@ -1,4 +1,5 @@
 import numpy as np
+import ray
 
 from spider_ray.state.bloom import BloomFilter
 from spider_ray.state.cuckoo import CuckooFilter
@@ -54,15 +55,6 @@ def test_seen_shard_cuckoo_mode():
     assert not st.check_and_add(keys).any()
 
 
-def test_host_budget_tokens_deterministic():
-    st = HostBudgetState(budget_per_wave=2)
-    hosts = ["a", "a", "a", "b", "a", "b", "b"]
-    got = st.acquire(hosts)
-    assert got.tolist() == [True, True, False, True, False, True, False]
-    st.begin_wave()
-    assert st.acquire(["a"]).tolist() == [True]
-
-
 def test_robots_parsing():
     st = HostBudgetState(budget_per_wave=10)
     st.set_robots("h.test", "User-agent: *\nDisallow: /private/\n")
@@ -74,32 +66,29 @@ def test_robots_parsing():
 
 def test_robots_crawl_delay_scales_budget():
     """Crawl-delay: d → floor(wave_period_s / d) tokens per wave
-    (>=1, capped by the global budget), per agent, deterministic."""
+    (>=1, capped by the global budget), per agent, deterministic; no
+    directive → no budget (None)."""
     st = HostBudgetState(budget_per_wave=10, wave_period_s=60.0)
     st.set_robots("slow.test", "User-agent: *\nCrawl-delay: 20\n")
     st.set_robots("fast.test", "User-agent: *\nCrawl-delay: 0.5\n")
     st.set_robots("plain.test", "User-agent: *\nDisallow:\n")
-    assert st.budget_for("slow.test") == 3      # 60/20
-    assert st.budget_for("fast.test") == 10     # 120, capped at global
-    assert st.budget_for("plain.test") == 10    # no directive
-    assert st.budget_for("unknown.test") == 10  # robots not fetched yet
-    got = st.acquire(["slow.test"] * 5)
-    assert got.tolist() == [True, True, True, False, False]
-    st.begin_wave()  # budget refreshes per wave
-    assert st.acquire(["slow.test"]).tolist() == [True]
+    assert st.delay_budget("slow.test") == 3      # 60/20
+    assert st.delay_budget("fast.test") == 10     # 120, capped at global
+    assert st.delay_budget("plain.test") is None  # no directive
+    assert st.delay_budget("unknown.test") is None  # robots not fetched yet
     # a glacial delay still grants one token (progress guarantee)
     st.set_robots("glacial.test", "User-agent: *\nCrawl-delay: 100000\n")
-    assert st.budget_for("glacial.test") == 1
-    # re-fetching robots invalidates the cached budget
+    assert st.delay_budget("glacial.test") == 1
+    # re-fetched robots replace the host's budget
     st.set_robots("slow.test", "User-agent: *\nCrawl-delay: 6\n")
-    assert st.budget_for("slow.test") == 10
+    assert st.delay_budget("slow.test") == 10
     # agent-specific delay wins for the matching agent
     bot = HostBudgetState(budget_per_wave=10, wave_period_s=60.0, agent="spiderbot")
     bot.set_robots(
         "h.test",
         "User-agent: spiderbot\nCrawl-delay: 30\n\nUser-agent: *\nCrawl-delay: 1\n",
     )
-    assert bot.budget_for("h.test") == 2        # 60/30 for spiderbot
+    assert bot.delay_budget("h.test") == 2        # 60/30 for spiderbot
 
 
 def test_robots_fractional_crawl_delay():
@@ -196,12 +185,14 @@ def test_link_frontier_survives_source_deletion(tmp_path):
     assert sorted(store.read("frontier", 0).column("url").to_pylist()) == ["c", "d"]
 
 
-def test_politeness_screen_matches_separate_calls(ray_session):
+def test_politeness_screen_matches_separate_calls(ray_session, tmp_path):
     """``PolitenessPool.screen`` gives the mask and Crawl-delay caps of
     ensure_robots + allowed + delay_caps in one call per owning actor, and
-    fetches each host's robots.txt once however many waves it screens."""
-    import collections
+    each actor fetches a host's robots.txt through the resolver seam once,
+    however many waves screen the host."""
+    import functools
 
+    from spider_ray.sources.fixtures import MockResponse
     from spider_ray.state.politeness import PolitenessPool
 
     robots = {
@@ -209,27 +200,98 @@ def test_politeness_screen_matches_separate_calls(ray_session):
         "slow.test": "User-agent: *\nCrawl-delay: 7.5\n",
         "open.test": None,
     }
-    fetched = collections.Counter()
 
-    def fetch_robots(host):
-        fetched[host] += 1
-        return robots[host]
+    class Resolver:  # a local class: Ray ships it to the actors by value
+        def __init__(self, robots: dict, log: str):
+            self.robots, self.log = robots, log
 
+        def resolve(self, url: str, attempts: int):
+            with open(self.log, "a") as f:  # the actors' fetches, in one file
+                f.write(url + "\n")
+            txt = self.robots[url.split("/")[2]]
+            if txt is None:
+                return MockResponse(url, url, 404, "text/plain", content="")
+            return MockResponse(url, url, 200, "text/plain", content=txt)
+
+    log = tmp_path / "robots.log"
     waves = [
         [("priv.test", "/private/a"), ("slow.test", "/a"), ("priv.test", "/b")],
         [("open.test", "/x"), ("priv.test", "/private/b"), ("slow.test", "/b")],
         [("slow.test", "/c"), ("open.test", "/private/y"), ("priv.test", "/private/c")],
     ]
-    pool = PolitenessPool.create(n_actors=2, budget_per_wave=12)
+    pool = PolitenessPool.create(
+        n_actors=2, budget_per_wave=12,
+        resolver_factory=functools.partial(Resolver, robots, str(log)),
+    )
     ref = PolitenessPool.create(n_actors=2, budget_per_wave=12)
-    for rows in waves:
-        hosts = [h for h, _ in rows]
-        urls = [f"http://{h}{path}" for h, path in rows]
-        allowed, caps = pool.screen(hosts, urls, fetch_robots)
-        ref.ensure_robots(hosts, lambda h: robots[h])
-        want = ref.allowed(hosts, urls)
-        assert allowed.tolist() == want.tolist()
-        assert caps == ref.delay_caps([h for h, a in zip(hosts, want) if a])
-    assert fetched == {h: 1 for h in robots}
-    assert caps == {"slow.test": 8, "open.test": None}  # floor(60 / 7.5)
-    assert pool.screen([], [], fetch_robots)[0].size == 0
+    try:
+        for rows in waves:
+            hosts = [h for h, _ in rows]
+            urls = [f"http://{h}{path}" for h, path in rows]
+            allowed, caps = pool.screen(hosts, urls)
+            ref.ensure_robots(hosts, lambda h: robots[h])
+            want = ref.allowed(hosts, urls)
+            assert allowed.tolist() == want.tolist()
+            assert caps == ref.delay_caps([h for h, a in zip(hosts, want) if a])
+        assert caps == {"slow.test": 8, "open.test": None}  # floor(60 / 7.5)
+        assert pool.screen([], [])[0].size == 0
+    finally:
+        for actor in pool.actors + ref.actors:
+            ray.kill(actor, no_restart=True)
+    assert sorted(log.read_text().split()) == sorted(f"http://{h}/robots.txt" for h in robots)
+
+
+def test_robots_status_mapping():
+    """robots.txt statuses as RFC 9309 §2.3.1 maps them: 2xx rules are
+    parsed (first 500 KiB only) and cached, a 4xx allows everything and is
+    cached, a 5xx or unreachable host caches nothing, allows the rows but
+    gives the host a Crawl-delay budget of 0 (every row deferred), and is
+    asked again at the next screen."""
+    from spider_ray.sources.fixtures import MockResponse
+    from spider_ray.state.politeness import ROBOTS_MAX_BYTES
+
+    answers: dict = {}
+    asked: list = []
+
+    def resolve(url: str, attempts: int):
+        asked.append(url)
+        status, content, body = answers[url.split("/")[2]]
+        return MockResponse(url, url, status, "text/plain", content=content, body_bytes=body)
+
+    long = "User-agent: *\nDisallow: /a/\n#" + "x" * ROBOTS_MAX_BYTES + "\nDisallow: /b/\n"
+    answers.update({
+        "big.test": (200, long, None),
+        "bytes.test:81": (200, None, b"User-agent: *\nDisallow: /a/\n"),
+        "gone.test": (404, "", None),
+        "flaky.test": (503, "", None),
+        "down.test": (599, "connection refused", None),
+    })
+    st = HostBudgetState(budget_per_wave=10)
+    wave = {
+        "big.test": ["http://big.test/a/1", "http://big.test/b/1"],
+        "bytes.test": ["http://bytes.test:81/a/1", "http://bytes.test:81/c"],
+        "gone.test": ["http://gone.test/a/1"],
+        "flaky.test": ["http://flaky.test/a/1", "http://flaky.test/b"],
+        "down.test": ["http://down.test/a/1"],
+    }
+    masks, caps = st.screen(wave, resolve)
+    assert {h: m.tolist() for h, m in masks.items()} == {
+        "big.test": [False, True],  # the Disallow past 500 KiB is not read
+        "bytes.test": [False, True],  # body bytes, port kept in the robots URL
+        "gone.test": [True],
+        "flaky.test": [True, True],
+        "down.test": [True],
+    }
+    assert caps == {
+        "big.test": None, "bytes.test": None, "gone.test": None,
+        "flaky.test": 0, "down.test": 0,
+    }
+    assert "http://bytes.test:81/robots.txt" in asked
+    assert not st.robots_known("flaky.test") and not st.robots_known("down.test")
+    # the next screen asks only the hosts that failed; flaky.test answers now
+    asked.clear()
+    answers["flaky.test"] = (200, "User-agent: *\nDisallow: /a/\n", None)
+    masks, caps = st.screen(wave, resolve)
+    assert sorted(asked) == ["http://down.test/robots.txt", "http://flaky.test/robots.txt"]
+    assert masks["flaky.test"].tolist() == [False, True]
+    assert caps["flaky.test"] is None and caps["down.test"] == 0
