@@ -187,10 +187,11 @@ _DIST_CRAWL_CACHE: dict[str, str] = {}
 
 def _q_crawl_order_distributed(sf_dir: str) -> pa.Table:
     """The SAME crawl-order oracle, but through the fully distributed
-    path: driver_wave_threshold=0 forces the Ray Data wave-cut plan +
-    partitioned frontier, and fetch_mode='dataset' streams pages/images/
-    documents via write tasks — the scale path must be value-exact against
-    the identical DuckDB BFS closure the pool path is gated on."""
+    path: driver_wave_threshold=0 spills every frontier row to sorted run
+    files (the driver holds none between cuts), and fetch_mode='dataset'
+    streams pages/images/documents via write tasks — the scale path must
+    be value-exact against the identical DuckDB BFS closure the pool path
+    is gated on."""
     _ctx()
     if sf_dir not in _DIST_CRAWL_CACHE:
         from spider_ray.pipelines.crawl import CrawlConfig, run_crawl

@@ -120,9 +120,11 @@ class EpochStore:
     epoch, the per-shard ``(dedup_checks, dedup_hits)`` counters;
     per-epoch directories hold frontier / pages / images / documents /
     lineage / order tables, plus a ``dropped`` table (url_hash of the
-    robots-filtered rows) for each epoch that dropped any. No seen-set
-    snapshot is stored: a resume rebuilds the shards from the url_hash of
-    order, dropped and frontier (``run_crawl``). Epoch writes are
+    robots-filtered rows) for each epoch that dropped any. A frontier that
+    spilled to run files also has ``frontier_runs/epoch=E``: a hardlink of
+    each run file and their cursors (``crawl.RunSet.link_files``). No
+    seen-set snapshot is stored: a resume rebuilds the shards from the
+    url_hash of order, dropped and frontier (``run_crawl``). Epoch writes are
     idempotent (directory replaced wholesale), so a crash mid-epoch re-runs
     that epoch from the previous checkpoint.
     """
@@ -194,31 +196,6 @@ class EpochStore:
             {self.epoch_dir(name, epoch): to_wire(data) for name, data in tables.items()}
         )
 
-    def link_frontier(self, epoch: int, extra: pa.Table, dirs: list[str]) -> None:
-        """Checkpoint a distributed frontier: hardlink the partition files
-        of ``dirs`` into the frontier epoch dir (same filesystem → zero
-        data copied; falls back to copy across devices) and write the small
-        driver-resident increment as one extra part. Hardlinked files
-        survive deletion of the transient source dirs."""
-        directory = self.epoch_dir("frontier", epoch)
-        if os.path.exists(directory):
-            shutil.rmtree(directory)
-        os.makedirs(directory, exist_ok=True)
-        for i, src_dir in enumerate(dirs):
-            if not os.path.isdir(src_dir):
-                continue
-            for fname in sorted(os.listdir(src_dir)):
-                if not fname.endswith(".parquet"):
-                    continue
-                src = os.path.join(src_dir, fname)
-                dst = os.path.join(directory, f"link-{i}-{fname}")
-                try:
-                    os.link(src, dst)
-                except OSError:  # pragma: no cover - cross-device fallback
-                    shutil.copy2(src, dst)
-        if extra.num_rows:
-            write_table(extra, directory, "part-extra.parquet")
-
     def epochs(self, table: str, upto_epoch: int | None = None) -> list[int]:
         """Epochs that have a ``table`` directory, ascending."""
         base = os.path.join(self.root, table)
@@ -233,12 +210,6 @@ class EpochStore:
 
     def read(self, table: str, epoch: int, columns: list[str] | None = None) -> pa.Table:
         return read_table(self.epoch_dir(table, epoch), columns)
-
-    def read_parts(self, table: str, epoch: int, columns: list[str] | None = None):
-        """Yield the epoch's table one part file at a time (a large
-        partition dir is never materialized whole)."""
-        for path in _part_paths(self.epoch_dir(table, epoch)):
-            yield _read_part(path, columns)
 
     def read_all(
         self,

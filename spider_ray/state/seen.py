@@ -142,10 +142,6 @@ class SeenShardState:
         obj.dedup_hits = hits
         return obj
 
-    def set_counters(self, checks: int, hits: int) -> None:
-        self.dedup_checks = checks
-        self.dedup_hits = hits
-
     def stats(self) -> dict:
         return {
             "n_items": self.cuckoo.n_items,

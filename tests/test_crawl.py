@@ -326,6 +326,14 @@ def test_pipelined_crawl_same_set_and_totals(ray_session, tmp_path):
     pipe2 = replace(base, out_dir=str(tmp_path / "pipe2"), pipeline_waves=True)
     run_crawl(pipe2)
     assert b.to_pydict() == EpochStore(pipe2.out_dir).read_all("order").to_pydict()
+    # a spilled frontier (every row in run files between cuts) speculates
+    # through the same cut: the same set and totals, and the same order
+    spilled_cfg = replace(pipe_cfg, out_dir=str(tmp_path / "spilled"), driver_wave_threshold=0)
+    spilled = run_crawl(spilled_cfg)
+    assert (spilled.pages_fetched, spilled.seen_size, spilled.images_written) == (
+        barrier.pages_fetched, barrier.seen_size, barrier.images_written
+    )
+    assert b.to_pydict() == EpochStore(spilled_cfg.out_dir).read_all("order").to_pydict()
 
 
 def test_pipelined_resume_completes_universe(ray_session, tmp_path):

@@ -1,9 +1,11 @@
-"""Config-path coverage: max_depth, keep_page_content, Dataset wave-select."""
+"""Config-path coverage: max_depth, keep_page_content, spilled frontier."""
 
+import json
 import os
 from dataclasses import replace
 
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 
 from spider_ray.pipelines.crawl import CrawlConfig, run_crawl
@@ -59,16 +61,14 @@ def test_dataset_wave_select_path_equivalent(ray_session, tmp_path):
 
 
 def test_fully_distributed_path_equivalent_and_resumable(ray_session, tmp_path):
-    """Force BOTH scale paths at once — distributed frontier
-    (driver_wave_threshold=0: deferred sets live as parquet partitions
-    written by tasks, never driver tables) AND streaming dataset fetch mode
+    """Force BOTH scale paths at once — a spilled frontier
+    (driver_wave_threshold=0: between cuts every frontier row lives in
+    run files, none on the driver) AND streaming dataset fetch mode
     (pages/images/documents written by write tasks) — and require bit-equal
-    crawl order/images vs the driver-table path, plus kill-and-resume
-    equivalence from a distributed frontier checkpoint."""
-    import os
-
+    crawl order/images vs the held-frontier path, plus kill-and-resume
+    equivalence from a run-file checkpoint."""
     # wave_k smaller than the frontier so non-empty deferred sets exist —
-    # the distributed path must keep them as task-written parquet partitions
+    # the spilled path must keep them in run files
     base = replace(_base(tmp_path, "driver_path"), wave_k=16, max_epochs=200)
     run_crawl(base)
     dist_cfg = replace(
@@ -84,14 +84,21 @@ def test_fully_distributed_path_equivalent_and_resumable(ray_session, tmp_path):
     ib = b_store.read_all("images").sort_by("image_id")
     assert ia.equals(ib)
     assert dist.seen_size == len(set(a_store.read_all("order").to_pydict()["url"]))
-    # at least one frontier checkpoint on the distributed path is a
-    # partition DIR of hardlinked task-written files, not one driver table
-    froot = os.path.join(dist_cfg.out_dir, "frontier")
-    linked = [
-        d for d in os.listdir(froot)
-        if any(f.startswith("link-") for f in os.listdir(os.path.join(froot, d)))
-    ]
-    assert linked, {d: os.listdir(os.path.join(froot, d)) for d in os.listdir(froot)}
+    # the spilled path's checkpoints record run files with their cursors,
+    # and its frontier/epoch=E tables hold no row (the driver holds none);
+    # the run files' rows from their cursors are the held path's frontier
+    assert b_store.epochs("frontier_runs")
+    for e in b_store.epochs("frontier"):
+        assert b_store.read("frontier", e).num_rows == 0
+        spilled = []
+        if e in b_store.epochs("frontier_runs"):
+            links = b_store.epoch_dir("frontier_runs", e)
+            with open(os.path.join(links, "cursors.json")) as f:
+                for name, cursor in json.load(f):
+                    keys = pq.read_table(os.path.join(links, name), columns=["url_hash"])
+                    spilled += keys.column("url_hash").to_pylist()[cursor:]
+        held = a_store.read("frontier", e).column("url_hash").to_pylist()
+        assert sorted(spilled) == sorted(held), e
     # kill-and-resume on the distributed path
     part_cfg = replace(dist_cfg, out_dir=str(tmp_path / "dist_part"), max_epochs=2)
     run_crawl(part_cfg)
@@ -101,6 +108,31 @@ def test_fully_distributed_path_equivalent_and_resumable(ray_session, tmp_path):
         == a_store.read_all("order").to_pydict()
     )
     assert resumed.seen_size == dist.seen_size
+
+
+def test_spilled_frontier_resumes_from_an_early_checkpoint(ray_session, tmp_path):
+    """A driver_wave_threshold=0 crawl cut back to an early checkpoint —
+    after later epochs consumed and deleted its working run files —
+    resumes from the checkpoint's hardlinks to the uninterrupted crawl's
+    exact (epoch, seq, url) order and seen size."""
+    from tests.test_crawl import _truncate_to_checkpoint
+
+    config = replace(
+        _base(tmp_path, "spilled"), wave_k=16, max_epochs=200, driver_wave_threshold=0
+    )
+
+    def crawl_order():
+        order = EpochStore(config.out_dir).read_all("order")
+        return list(zip(*(order.column(c).to_pylist() for c in ("epoch", "seq", "url"))))
+
+    full = run_crawl(config)
+    expected = crawl_order()
+    assert 1 in EpochStore(config.out_dir).epochs("frontier_runs")
+    assert not os.path.exists(os.path.join(config.out_dir, "runs"))  # working files gone
+    _truncate_to_checkpoint(config.out_dir, 1)
+    resumed = run_crawl(config, resume=True)
+    assert crawl_order() == expected
+    assert resumed.seen_size == full.seen_size
 
 
 def test_cpu_budget_without_room_for_a_worker_raises(ray_session, tmp_path):

@@ -149,15 +149,23 @@ def test_process_html_idempotent(html):
     st.integers(min_value=1, max_value=130),
     st.one_of(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=130)),
     st.lists(st.integers(min_value=0, max_value=120), max_size=4),
+    st.lists(st.booleans(), max_size=5),  # which runs spill to run files
+    st.integers(min_value=1, max_value=40),  # run-file window rows
 )
 @settings(max_examples=150, deadline=None)
-def test_runset_cut_property(rows, wave_k, cap, splits):
+def test_runset_cut_property(rows, wave_k, cap, splits, spills, window):
     """RunSet.cut == the sequential reference scan for arbitrary
     priorities, hashes and hosts (null included), any per-host cap, any
-    run split and any wave_k; and the leftover's own cut continues the
-    global order."""
+    run split, any choice of runs spilled to run files, any window and
+    any wave_k; the leftover's own cut continues the global order; and
+    the rows held in memory never exceed the threshold plus one window
+    per run file."""
+    import tempfile
+
     import pyarrow as pa
-    from test_wave_select import runset_of, sequential_cut
+    from test_wave_select import sequential_cut
+
+    from spider_ray.pipelines.crawl import RunSet
 
     n = len(rows)
     frontier = pa.table(
@@ -171,9 +179,23 @@ def test_runset_cut_property(rows, wave_k, cap, splits):
         }
     )
     hashes = frontier.column("url_hash").to_pylist()
-    wave, leftover = runset_of(frontier, sorted({0, n} | {s for s in splits if s < n})).cut(
-        wave_k, cap
-    )
+    bounds = sorted({0, n} | {s for s in splits if s < n})
+    runs = [frontier.slice(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    spilled = [i < len(spills) and spills[i] for i in range(len(runs))]
+    tmp = tempfile.TemporaryDirectory()
+    rs = RunSet(tmp.name, 0, window)
+    for run in (r for r, s in zip(runs, spilled) if s):
+        rs.add_table(run)  # memory is empty: the run becomes one run file
+    rs.threshold = sum(r.num_rows for r, s in zip(runs, spilled) if not s)
+    for run in (r for r, s in zip(runs, spilled) if not s):
+        rs.add_table(run)
+    assert len(rs.files) == sum(spilled)
+
+    def within_bound(r: RunSet) -> bool:
+        return r.held + sum(f.loaded for f in r.files) <= rs.threshold + window * len(r.files)
+
+    wave, leftover = rs.cut(wave_k, cap)
+    assert within_bound(rs) and within_bound(leftover)
     expected, deferred = sequential_cut(frontier, wave_k, cap)
     assert wave.column("url_hash").to_pylist() == [hashes[i] for i in expected]
     assert leftover.count == len(deferred)
@@ -183,11 +205,13 @@ def test_runset_cut_property(rows, wave_k, cap, splits):
     # ... and its capped cut is the reference cut of the deferred rows
     deferred_table = frontier.take(pa.array(deferred, pa.int64()))
     if deferred:
-        wave2, _ = leftover.cut(wave_k, cap)
+        wave2, leftover2 = leftover.cut(wave_k, cap)
         expected2, _ = sequential_cut(deferred_table, wave_k, cap)
         assert wave2.column("url_hash").to_pylist() == [
             deferred_table.column("url_hash")[i].as_py() for i in expected2
         ]
+        assert within_bound(leftover2)
+    tmp.cleanup()
 
 
 @given(

@@ -1,6 +1,6 @@
-"""The wave cut: the driver's sorted-run cut (``RunSet.cut``) must equal a
-sequential reference scan and the Ray Data groupby/sort cut
-(``wave_select_dataset``), row for row."""
+"""The wave cut: the sorted-run cut (``RunSet.cut``) must equal a
+sequential reference scan, row for row, whether its runs are held in
+memory or spilled to run files."""
 
 import collections
 
@@ -8,9 +8,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-import ray
-
-from spider_ray.pipelines.crawl import RunSet, wave_select_dataset
+from spider_ray.pipelines.crawl import RunSet
 
 
 def sequential_cut(frontier: pa.Table, wave_k: int, cap: int) -> tuple[list[int], list[int]]:
@@ -43,6 +41,16 @@ def runset_of(frontier: pa.Table, bounds=None) -> RunSet:
     return rs
 
 
+def spilled_runset_of(frontier: pa.Table, bounds, directory: str, window: int) -> RunSet:
+    """A RunSet whose runs (``frontier`` split at ``bounds``) are each
+    spilled to a run file in ``directory``, read ``window`` rows at a
+    time."""
+    rs = RunSet(directory, 0, window)
+    for lo, hi in zip(bounds, bounds[1:]):
+        rs.add_table(frontier.slice(lo, hi - lo))
+    return rs
+
+
 def _frontier(n=500, hosts=5, seed=3):
     rng = np.random.default_rng(seed)
     prio = rng.integers(0, 1000, n) / 1000.0
@@ -65,16 +73,25 @@ def _urls(frontier: pa.Table, rows: list[int]) -> list[str]:
 
 
 @pytest.mark.parametrize("wave_k,cap", [(100, 10), (50, 1000), (10_000, 3)])
-def test_wave_paths_equivalent(ray_session, wave_k, cap):
+def test_wave_paths_equivalent(ray_session, tmp_path, monkeypatch, wave_k, cap):
+    """The cut equals the reference scan over held runs, and again over
+    run files read through windows smaller than the wave (the cut loads
+    larger windows until it is exact); five files exceed ``MAX_RUNS``, so
+    the last spill merges them in a Ray task first. Walking the leftover
+    continues the global order."""
     frontier = _frontier()
-    wave_a, leftover = runset_of(frontier, [0, 120, 500]).cut(wave_k, cap)
-    wave_b, _deferred_b = wave_select_dataset(
-        ray.data.from_arrow(frontier), wave_k, cap
-    )
-    a = wave_a.select(["url", "priority"]).to_pydict()
-    b = wave_b.select(["url", "priority"]).to_pydict()
-    assert a == b
-    assert wave_a.num_rows + leftover.count == frontier.num_rows
+    expected, deferred = sequential_cut(frontier, wave_k, cap)
+    monkeypatch.setattr(RunSet, "MAX_RUNS", 4)
+    for rs in (
+        runset_of(frontier, [0, 120, 500]),
+        spilled_runset_of(frontier, [0, 40, 120, 200, 310, 500], str(tmp_path), 7),
+    ):
+        wave, leftover = rs.cut(wave_k, cap)
+        assert wave.column("url").to_pylist() == _urls(frontier, expected)
+        assert wave.num_rows + leftover.count == frontier.num_rows
+        rest, _ = leftover.cut(frontier.num_rows, frontier.num_rows)
+        assert rest.column("url").to_pylist() == _urls(frontier, deferred)
+    assert len(rs.files) == 1  # the fifth spill merged the five files
 
 
 @pytest.mark.parametrize("wave_k", [10, 100, 499, 500, 5000])
