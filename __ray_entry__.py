@@ -186,12 +186,11 @@ _DIST_CRAWL_CACHE: dict[str, str] = {}
 
 
 def _q_crawl_order_distributed(sf_dir: str) -> pa.Table:
-    """The SAME crawl-order oracle, but through the fully distributed
-    path: driver_wave_threshold=0 spills every frontier row to sorted run
-    files (the driver holds none between cuts), and fetch_mode='dataset'
-    streams pages/images/documents via write tasks — the scale path must
-    be value-exact against the identical DuckDB BFS closure the pool path
-    is gated on."""
+    """The SAME crawl-order oracle, but through the spilled frontier:
+    driver_wave_threshold=0 spills every frontier row to sorted run files
+    (the driver holds none between cuts) — the scale path must be
+    value-exact against the identical DuckDB BFS closure the held path is
+    gated on."""
     _ctx()
     if sf_dir not in _DIST_CRAWL_CACHE:
         from spider_ray.pipelines.crawl import CrawlConfig, run_crawl
@@ -217,7 +216,6 @@ def _q_crawl_order_distributed(sf_dir: str) -> pa.Table:
                 fetch_concurrency=8,
                 max_epochs=128,
                 driver_wave_threshold=0,
-                fetch_mode="dataset",
                 fetch_num_cpus=0.7,
             )
         )

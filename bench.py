@@ -146,9 +146,6 @@ def run_bench() -> dict:
             # shards / politeness / writer tasks alongside
             fetch_concurrency=ncpu,
             fetch_num_cpus=0.7,
-            # persistent actors across the many waves; BENCH_FETCH_MODE=dataset
-            # exercises the streaming map_batches path for the same universe
-            fetch_mode=os.environ.get("BENCH_FETCH_MODE", "pool"),
             driver_wave_threshold=10_000_000,
             checkpoint_interval=4,  # durable every 4 waves; resume replays ≤3
             max_epochs=256,

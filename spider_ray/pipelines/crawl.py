@@ -23,11 +23,8 @@ fetch scheduler". Per wave (epoch):
    its own pages/images/documents partition files. Driver traffic per wave
    is O(new URLs), not O(fetched bytes): each chunk returns its fresh
    candidates, counters and the per-shard dedup counts of its own probes.
-   Pool mode submits chunks to persistent ``FetchWorker`` actors; dataset
-   mode submits the same chunks as independent Ray tasks (per-process
-   worker cache, no persistent pool) for deployments where actors can't be
-   pinned (equivalence pinned by tests/test_fetch_modes.py; ≤1.1× pool
-   wall).
+   Every chunk runs on a persistent ``FetchWorker`` actor of the crawl's
+   fetch pool, reused across waves.
 3. **Frontier update + checkpoint** — fresh candidates + politeness
    deferrals + bounded 5xx retries form the next frontier; per-epoch order
    + lineage tables (+ the url_hash of robots-dropped rows), and a
@@ -60,8 +57,8 @@ reads a window of about ``wave_k`` rows per file by row group, so the
 driver never holds the whole frontier, and a checkpoint writes the held
 rows plus a hardlink and cursor per run file.
 
-Both fetch modes write pages/images/documents partition files from the
-executing worker; the driver's control plane per wave is counters + fresh
+The fetch workers write the pages/images/documents partition files
+themselves; the driver's control plane per wave is counters + fresh
 candidates. The dispatch loop sends ~2 strided chunks per fetch slot,
 primed two deep, so the end-of-wave barrier tail is one small chunk.
 
@@ -147,15 +144,8 @@ class CrawlConfig:
     # to immutable sorted run files (RunSet)
     driver_wave_threshold: int = 200_000
     keep_page_content: bool = False  # drop big HTML from the pages sink by default
-    # 'pool'   — persistent fetch actors reused across waves (amortizes
-    #            stateful setup the way a browser pool must); the default
-    #            and the mode every benchmark runs
-    # 'dataset'— the same fused chunk pipeline as independent Ray TASKS
-    #            (per-worker-process stage cache, no persistent pool; for
-    #            deployments where actors can't be pinned). The driver's
-    #            distributed crawl-order query uses it. One crawl never
-    #            mixes the two: a pool holding the CPU budget would starve
-    #            dataset tasks forever
+    # the chunk executor; 'pool' (persistent fetch actors reused across
+    # waves) is the only one
     fetch_mode: str = "pool"
     # persistent response-cache dir (state.cache.FileCache): a re-run over
     # the same universe hits the cache instead of the network (the
@@ -219,17 +209,15 @@ class CrawlConfig:
     # top-of-the-rest, so a fresh candidate that outranks a speculated row
     # waits one extra epoch — the fetched SET, dedup guarantees and totals
     # are identical (pinned by tests/test_crawl.py), only the (epoch, seq)
-    # assignment shifts. Off by default; requires fetch_mode='pool', robots
-    # off, and a per-host cap that cannot bind within one wave (cap >=
-    # wave_k: two sub-cuts of a wave would otherwise admit 2x cap per host)
-    # — otherwise silently runs unpipelined.
+    # assignment shifts. Off by default; requires robots off and a
+    # per-host cap that cannot bind within one wave (cap >= wave_k: two
+    # sub-cuts of a wave would otherwise admit 2x cap per host) —
+    # otherwise silently runs unpipelined.
     pipeline_waves: bool = False
 
     def __post_init__(self):
-        if self.fetch_mode not in ("pool", "dataset"):
-            raise ValueError(
-                f"fetch_mode must be 'pool' or 'dataset', not {self.fetch_mode!r}"
-            )
+        if self.fetch_mode != "pool":
+            raise ValueError(f"fetch_mode must be 'pool', not {self.fetch_mode!r}")
 
     def key(self) -> str:
         payload = asdict(self)
@@ -245,18 +233,16 @@ _PAGE_SLIM_COLS = [
 
 
 class _ChunkWorker:
-    """Worker-side state of the fused chunk routine, built in ONE place for
-    both fetch modes: the stateful fetch stage (session/browser/cache —
-    reference tears its browser down per URL, browser-runner.ts:335-338),
-    the seen-shard handles, an optional bloom pre-filter and the depth
-    limit.
+    """Worker-side state of the fused chunk routine: the stateful fetch
+    stage (session/browser/cache — reference tears its browser down per
+    URL, browser-runner.ts:335-338), the seen-shard handles, an optional
+    bloom pre-filter and the depth limit.
 
-    Pool mode holds one per persistent ``FetchWorker`` actor, reused across
-    waves (Ray Data's ``map_batches`` would build a fresh actor pool per
-    epoch); dataset mode caches one per worker process
-    (``_fetch_chunk_task``). Everything per-row (fetch, link parse,
-    candidate hashing, document assembly, image decode) and the seen-set
-    admission run here; the driver sees only counters + fresh candidates.
+    Each persistent ``FetchWorker`` actor holds one, reused across waves
+    (Ray Data's ``map_batches`` would build a fresh actor pool per
+    epoch). Everything per-row (fetch, link parse, candidate hashing,
+    document assembly, image decode) and the seen-set admission run here;
+    the driver sees only counters + fresh candidates.
 
     Start-up: ``run_crawl`` creates the pool before the seen shards, so
     the shards reach a worker through ``attach``, queued ahead of its
@@ -326,7 +312,7 @@ FetchWorker = ray.remote(_ChunkWorker)
 
 
 def _worker_args(config: CrawlConfig) -> tuple:
-    """Constructor args of ``_ChunkWorker`` for this crawl (both modes)."""
+    """Constructor args of ``_ChunkWorker`` for this crawl."""
     stage_kwargs = {
         "web_config": config.web,
         "adapter": config.adapter,
@@ -345,7 +331,7 @@ def _fused_chunk(
     n_partitions: int,
     admit,
 ) -> dict:
-    """The fused per-chunk row pipeline shared by BOTH fetch modes.
+    """The fused per-chunk row pipeline a ``_ChunkWorker`` runs.
 
     Fetch → link parse → document/image assembly run row-wise in plain
     Python, and Arrow tables are materialized exactly ONCE per chunk (the
@@ -563,44 +549,6 @@ def _chunk_dedup(
         if counts is not None:
             counts += _shard_counts(keys[sent], unseen[sent], seen.n_shards)
     return candidates.filter(pa.array(unseen))
-
-
-_TASK_WORKER: dict = {}
-
-
-@ray.remote
-def _fetch_chunk_task(
-    chunk: pa.Buffer,
-    keep_content: bool,
-    sink: dict,
-    part_id: int,
-    n_partitions: int,
-    seen: ShardedSeen,
-    worker_args: tuple,
-) -> dict:
-    """Dataset-mode fetch unit: one wave chunk per Ray TASK (no persistent
-    pool — the streaming path for waves/deployments where actors can't be
-    pinned). The ``_ChunkWorker`` is cached per worker PROCESS keyed by its
-    construction args and the seen handles (so a new crawl never inherits
-    an old crawl's bloom), so session/cache/bloom state amortizes across
-    tasks exactly like an actor pool without per-wave pool startup (a
-    fresh ``map_batches`` actor pool per wave cost 2-8 s/wave at 32
-    CPUs)."""
-    use_bloom, max_depth, stage_kwargs, resolver_factory = worker_args
-    key = (
-        tuple(seen.shards),
-        use_bloom,
-        max_depth,
-        repr(stage_kwargs),
-        getattr(resolver_factory, "__qualname__", repr(resolver_factory)),
-    )
-    worker = _TASK_WORKER.get(key)
-    if worker is None:
-        worker = _ChunkWorker(*worker_args)
-        worker.attach(seen)
-        _TASK_WORKER.clear()  # one live worker state per process
-        _TASK_WORKER[key] = worker
-    return worker.process_chunk(chunk, keep_content, sink, part_id, n_partitions)
 
 
 def _failed_rows(pages_slim: pa.Table) -> pa.Table:
@@ -1093,11 +1041,10 @@ class Frontier:
 # ---------------------------------------------------------------------------
 
 def _fetch_slots(config: CrawlConfig, n_politeness: int) -> int:
-    """Fetch workers (pool actors or concurrent dataset-mode tasks) that
-    co-schedule with the crawl's own reservations: the seen shards, the
-    politeness actors and one checkpoint-write task. A worker that cannot
-    schedule would hang its wave forever, so a budget with room for none
-    raises instead."""
+    """Fetch pool actors that co-schedule with the crawl's own
+    reservations: the seen shards, the politeness actors and one
+    checkpoint-write task. A worker that cannot schedule would hang its
+    wave forever, so a budget with room for none raises instead."""
     avail = float(ray.cluster_resources().get("CPU", config.fetch_concurrency))
     reserved = (
         config.n_seen_shards * SHARD_NUM_CPUS
@@ -1129,17 +1076,11 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     # so the fetch pool — the processes with the heaviest start-up, which
     # the first wave waits on — is created first and boots in the first
     # round, paying its warm-up while the seen shards and any politeness
-    # actors start. Dataset mode builds no pool: it would park slots ×
-    # fetch_num_cpus CPUs on idle actors and starve the Ray Data
-    # pipeline's own tasks.
-    fetch_pool = (
-        []
-        if config.fetch_mode == "dataset"
-        else [
-            FetchWorker.options(num_cpus=config.fetch_num_cpus).remote(*worker_args)
-            for _ in range(slots)
-        ]
-    )
+    # actors start.
+    fetch_pool = [
+        FetchWorker.options(num_cpus=config.fetch_num_cpus).remote(*worker_args)
+        for _ in range(slots)
+    ]
     seen = ShardedSeen.create(
         n_shards=config.n_seen_shards,
         capacity_per_shard=config.seen_capacity_per_shard,
@@ -1193,12 +1134,11 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
 
     pending_writes: tuple[int, list, list] | None = None
     unflushed_refs: list = []
-    # split-wave pipelining is only sound when the persistent pool exists,
-    # robots can't filter a dispatched row, and the per-host cap can never
-    # bind (two sub-cuts of one wave would otherwise admit 2x cap per host)
+    # split-wave pipelining is only sound when robots can't filter a
+    # dispatched row and the per-host cap can never bind (two sub-cuts of
+    # one wave would otherwise admit 2x cap per host)
     pipelining = (
         config.pipeline_waves
-        and config.fetch_mode == "pool"
         and not config.respect_robots
         and config.max_per_host_per_wave >= config.wave_k
     )
@@ -1273,7 +1213,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
 
         # ---- fetch + parse + extract + dedup (distributed) ---------------
         meta, spec_state = _fetch_wave(
-            wave_rest, config, fetch_pool, store, epoch, seen, worker_args, slots,
+            wave_rest, config, fetch_pool, store, epoch,
             carried=spec_prev, next_spec=next_spec,
         )
         if meta is None or meta["n_pages"] == 0:
@@ -1475,9 +1415,6 @@ def _fetch_wave(
     fetch_pool: list,
     store: EpochStore,
     epoch: int,
-    seen: ShardedSeen,
-    worker_args: tuple,
-    slots: int,
     carried: dict | None = None,
     next_spec: pa.Table | None = None,
 ) -> tuple[dict | None, dict | None]:
@@ -1488,36 +1425,27 @@ def _fetch_wave(
 
     The wave is cut into strided chunks (i::n — cheap HTML rows and
     expensive image rows mix evenly), ~2 per fetch slot, each run by the
-    fused row pipeline (``_fused_chunk``) on a ``_ChunkWorker`` that writes
-    its own partition files and admits its own candidates into the seen
-    set. The two fetch modes differ only in how a chunk is submitted: pool
-    mode to a persistent ``FetchWorker`` actor, dataset mode as an
-    independent ``_fetch_chunk_task`` (streaming, no pinned actors). Every
-    chunk is submitted up front, so each slot's mailbox holds up to two
-    and finishing a chunk never waits a driver round-trip (worker idle
-    was ~29 % of the fetch phase with depth-1 dispatch, 28 workers).
-    Chunks go out and their tables come back as Arrow IPC
-    (``to_wire``/``from_wire``).
+    fused row pipeline (``_fused_chunk``) on a ``FetchWorker`` of the pool
+    that writes its own partition files and admits its own candidates into
+    the seen set. Every chunk is submitted up front, so each slot's
+    mailbox holds up to two and finishing a chunk never waits a driver
+    round-trip (worker idle was ~29 % of the fetch phase with depth-1
+    dispatch, 28 workers). Chunks go out and their tables come back as
+    Arrow IPC (``to_wire``/``from_wire``).
 
-    Split-wave pipelining (pool mode only): ``carried`` is the speculation
-    dispatched LAST epoch — its rows are this wave's head, its refs are
-    collected into this wave's parts, and its chunks already own part ids
+    Split-wave pipelining: ``carried`` is the speculation dispatched LAST
+    epoch — its rows are this wave's head, its refs are collected into
+    this wave's parts, and its chunks already own part ids
     ``0..n_chunks-1`` of this epoch's sinks. ``next_spec`` rows are chunked
     and queued behind this wave's chunks for the NEXT epoch; the returned
     spec_state carries their table/refs forward."""
-    keep, n_parts = config.keep_page_content, config.n_seen_shards
-    if config.fetch_mode == "dataset":
-        task = _fetch_chunk_task.options(num_cpus=config.fetch_num_cpus)
+    keep, n_parts, slots = config.keep_page_content, config.n_seen_shards, len(fetch_pool)
 
-        def submit(slot: int, chunk: pa.Buffer, sink: dict, part_id: int):
-            return task.remote(chunk, keep, sink, part_id, n_parts, seen, worker_args)
-    else:
-        def submit(slot: int, chunk: pa.Buffer, sink: dict, part_id: int):
-            return fetch_pool[slot].process_chunk.remote(chunk, keep, sink, part_id, n_parts)
-
-    def strided(table: pa.Table, n: int, c: int) -> pa.Buffer:
-        """Chunk ``c`` of ``n`` (rows c, c+n, ...), encoded for the wire."""
-        return to_wire(table.take(pa.array(range(c, table.num_rows, n))))
+    def submit(table: pa.Table, n: int, c: int, sink: dict, part_id: int):
+        """Queue chunk ``c`` of ``n`` (rows c, c+n, ...) on worker ``c %
+        slots``, encoded for the wire."""
+        chunk = to_wire(table.take(pa.array(range(c, table.num_rows, n))))
+        return fetch_pool[c % slots].process_chunk.remote(chunk, keep, sink, part_id, n_parts)
 
     # with ``carried``, last epoch's speculative dispatch already emptied
     # this epoch's dirs and its chunks are writing into them
@@ -1525,10 +1453,7 @@ def _fetch_wave(
     part_offset = carried["n_chunks"] if carried else 0
     # at most two chunks per slot: all of them are dispatched at once
     n_chunks = _n_chunks(wave.num_rows, slots, 2 * slots)
-    refs = [
-        submit(c % slots, strided(wave, n_chunks, c), sink, part_offset + c)
-        for c in range(n_chunks)
-    ]
+    refs = [submit(wave, n_chunks, c, sink, part_offset + c) for c in range(n_chunks)]
     spec_state = None
     if next_spec is not None:
         # queue next epoch's speculative chunks behind this wave's chunks
@@ -1540,10 +1465,7 @@ def _fetch_wave(
         spec_state = {
             "table": next_spec,
             "n_chunks": n_sp,
-            "refs": [
-                submit(c % slots, strided(next_spec, n_sp, c), spec_sink, c)
-                for c in range(n_sp)
-            ],
+            "refs": [submit(next_spec, n_sp, c, spec_sink, c) for c in range(n_sp)],
         }
     # speculation results for THIS wave's head rows come first (dispatched
     # last epoch; FIFO per actor means they complete before this wave's

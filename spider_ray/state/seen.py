@@ -7,10 +7,10 @@ page-scope `Set<string>` dedup (src/shared/links.ts:20-35) → a global,
 sharded membership set.
 
 Design (SURVEY.md §4):
-- ``n_shards`` actors, shard = ``url_hash % n_shards``; each actor holds an
-  authoritative CuckooFilter and, in conformance mode, an exact uint64 set
-  (the "exact-dedup oracle path for tests" — cuckoo FPs would otherwise be
-  able to drop a URL wrongly at small probability).
+- ``n_shards`` actors, shard = ``url_hash % n_shards``; each actor's
+  authoritative set is a CuckooFilter or, in conformance mode, an exact
+  uint64 set alone (the "exact-dedup oracle path for tests" — cuckoo FPs
+  would otherwise be able to drop a URL wrongly at small probability).
 - Probes are *batched RPCs*, not a Dataset shuffle: a fetch/dedup stage
   splits a batch's hashes by shard with one vectorized pass and issues the
   shard calls concurrently. At 10^10 URLs this costs O(batch) network
@@ -79,7 +79,7 @@ class SeenShardState:
             self.exact_set.update(int(k) for k in keys[unseen])
         else:
             unseen = first & ~self.cuckoo.contains_many(keys)
-        self.cuckoo.add_many(keys[unseen])
+            self.cuckoo.add_many(keys[unseen])
         return unseen
 
     def probe(self, keys: np.ndarray) -> np.ndarray:
@@ -144,7 +144,9 @@ class SeenShardState:
 
     def stats(self) -> dict:
         return {
-            "n_items": self.cuckoo.n_items,
+            "n_items": (
+                len(self.exact_set) if self.exact_set is not None else self.cuckoo.n_items
+            ),
             "dedup_checks": self.dedup_checks,
             "dedup_hits": self.dedup_hits,
         }
@@ -198,19 +200,10 @@ class ShardedSeen:
         n_shards: int = 8,
         capacity_per_shard: int = 1 << 20,
         exact: bool = False,
-        name_prefix: str | None = None,
     ) -> "ShardedSeen":
-        shards = []
-        for i in range(n_shards):
-            opts = {}
-            if name_prefix:
-                # named + detached-from-driver-scope so crawl waves across
-                # driver iterations reuse the same state
-                opts = {"name": f"{name_prefix}-seen-{i}", "get_if_exists": True}
-            shards.append(
-                SeenShardActor.options(**opts).remote(capacity_per_shard, exact)
-            )
-        return cls(shards)
+        return cls(
+            [SeenShardActor.remote(capacity_per_shard, exact) for _ in range(n_shards)]
+        )
 
     def _split(self, keys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         keys = np.asarray(keys, dtype=np.uint64)
@@ -289,12 +282,10 @@ class ShardedSeen:
         )
 
     def stats(self) -> dict:
-        """Totals over the shards, plus ``counters``: the per-shard
-        ``[dedup_checks, dedup_hits]`` a checkpoint records."""
+        """Totals over the shards."""
         per = ray.get([s.stats.remote() for s in self.shards])
         return {
             "n_items": sum(p["n_items"] for p in per),
             "dedup_checks": sum(p["dedup_checks"] for p in per),
             "dedup_hits": sum(p["dedup_hits"] for p in per),
-            "counters": [[p["dedup_checks"], p["dedup_hits"]] for p in per],
         }

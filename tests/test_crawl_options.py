@@ -61,12 +61,10 @@ def test_dataset_wave_select_path_equivalent(ray_session, tmp_path):
 
 
 def test_fully_distributed_path_equivalent_and_resumable(ray_session, tmp_path):
-    """Force BOTH scale paths at once — a spilled frontier
-    (driver_wave_threshold=0: between cuts every frontier row lives in
-    run files, none on the driver) AND streaming dataset fetch mode
-    (pages/images/documents written by write tasks) — and require bit-equal
-    crawl order/images vs the held-frontier path, plus kill-and-resume
-    equivalence from a run-file checkpoint."""
+    """Force the spilled frontier (driver_wave_threshold=0: between cuts
+    every frontier row lives in run files, none on the driver) and require
+    bit-equal crawl order/images vs the held-frontier path, plus
+    kill-and-resume equivalence from a run-file checkpoint."""
     # wave_k smaller than the frontier so non-empty deferred sets exist —
     # the spilled path must keep them in run files
     base = replace(_base(tmp_path, "driver_path"), wave_k=16, max_epochs=200)
@@ -75,7 +73,6 @@ def test_fully_distributed_path_equivalent_and_resumable(ray_session, tmp_path):
         base,
         out_dir=str(tmp_path / "dist"),
         driver_wave_threshold=0,
-        fetch_mode="dataset",
     )
     dist = run_crawl(dist_cfg)
     a_store, b_store = EpochStore(base.out_dir), EpochStore(dist_cfg.out_dir)

@@ -1,7 +1,6 @@
-"""Pool-mode and dataset-mode crawls must produce identical results; pool
-is the default, and a default crawl whose wave the pool fills finishes."""
-
-from dataclasses import replace
+"""The fetch pool is the crawl's only chunk executor: a browser-shaped
+resolver plugs into it, any other fetch mode raises, and a default crawl
+whose wave the pool fills finishes."""
 
 import pyarrow.compute as pc
 import pytest
@@ -9,48 +8,6 @@ import pytest
 from spider_ray.pipelines.crawl import CrawlConfig, run_crawl
 from spider_ray.sources.fixtures import MockWebConfig, seed_urls
 from spider_ray.sources.storage import EpochStore
-
-
-def _assert_modes_equivalent(tmp_path, **overrides):
-    cfg = MockWebConfig(n_pages=120, n_hosts=7, img_every=5)
-    base = CrawlConfig(
-        out_dir=str(tmp_path / "pool"),
-        seeds=seed_urls(cfg, every=30),
-        web=cfg,
-        wave_k=10_000,
-        exact_seen=True,
-        fetch_concurrency=2,
-        fetch_mode="pool",
-        **overrides,
-    )
-    pool_res = run_crawl(base)
-    ds_res = run_crawl(
-        replace(base, out_dir=str(tmp_path / "dataset"), fetch_mode="dataset")
-    )
-    a = EpochStore(base.out_dir)
-    b = EpochStore(str(tmp_path / "dataset"))
-    assert a.read_all("order").to_pydict() == b.read_all("order").to_pydict()
-    ia = a.read_all("images").sort_by("image_id")
-    ib = b.read_all("images").sort_by("image_id")
-    assert ia.equals(ib)
-    assert pool_res.seen_size == ds_res.seen_size
-    assert pool_res.pages_fetched == ds_res.pages_fetched
-    # pages partitions may differ in file layout but not in content
-    pa_ = a.read_all("pages").sort_by("url").select(["url", "status", "link_count"])
-    pb_ = b.read_all("pages").sort_by("url").select(["url", "status", "link_count"])
-    assert pa_.to_pydict() == pb_.to_pydict()  # values (nullability may differ)
-    return a
-
-
-def test_pool_and_dataset_modes_equivalent(ray_session, tmp_path):
-    _assert_modes_equivalent(tmp_path)
-
-
-def test_pool_and_dataset_modes_equivalent_depth_limited(ray_session, tmp_path):
-    """Depth filtering happens only in the workers' admission step; both
-    submit paths must apply it identically."""
-    store = _assert_modes_equivalent(tmp_path, max_depth=2)
-    assert max(store.read_all("order").column("depth").to_pylist()) == 2
 
 
 def test_browser_shaped_resolver_plugs_into_the_crawl(ray_session, tmp_path):
@@ -93,8 +50,9 @@ def test_browser_shaped_resolver_plugs_into_the_crawl(ray_session, tmp_path):
 def test_pool_is_the_default_and_unknown_modes_raise(tmp_path):
     cfg = CrawlConfig(out_dir=str(tmp_path), seeds=[])
     assert cfg.fetch_mode == "pool"
-    with pytest.raises(ValueError, match="fetch_mode"):
-        CrawlConfig(out_dir=str(tmp_path), seeds=[], fetch_mode="auto")
+    for mode in ("auto", "dataset"):
+        with pytest.raises(ValueError, match="fetch_mode"):
+            CrawlConfig(out_dir=str(tmp_path), seeds=[], fetch_mode=mode)
 
 
 def test_default_mode_crawls_a_wave_the_pool_fills(ray_session, tmp_path):

@@ -126,9 +126,20 @@ def test_seen_shard_load_does_not_count():
         rebuilt = SeenShardState(capacity=4096, exact=exact)
         rebuilt.load(admitted[::-1])
         rebuilt.load(admitted[:100])  # a key logged twice loads once
-        assert rebuilt.stats() == {"n_items": st.cuckoo.n_items, "dedup_checks": 0, "dedup_hits": 0}
+        assert rebuilt.stats() == {"n_items": st.stats()["n_items"], "dedup_checks": 0, "dedup_hits": 0}
         assert np.array_equal(rebuilt.probe(probes), st.probe(probes))
         assert not rebuilt.check_and_add(admitted).any()
+
+
+def test_exact_seen_shard_counts_past_its_cuckoo_capacity():
+    """An exact shard's size is its exact set: more distinct keys than
+    the sized cuckoo's 2,048 slots are all admitted and all counted."""
+    keys = np.arange(1, 2101, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    st = SeenShardState(capacity=1024, exact=True)
+    for batch in np.array_split(keys, 21):
+        assert st.check_and_add(batch).all()
+    assert not st.check_and_add(keys).any()
+    assert st.stats() == {"n_items": 2100, "dedup_checks": 4200, "dedup_hits": 2100}
 
 
 def test_epoch_store_projected_reads_and_counters(tmp_path):
