@@ -22,13 +22,13 @@ fetch scheduler". Per wave (epoch):
    all-to-all shuffle; this is the crawl's only admission path), and writes
    its own pages/images/documents partition files. Driver traffic per wave
    is O(new URLs), not O(fetched bytes): each chunk returns its fresh
-   candidates, counters and the per-shard dedup counts of its own probes.
+   candidates, counters and the number of keys it sent to the shards.
    Every chunk runs on a persistent ``FetchWorker`` actor of the crawl's
    fetch pool, reused across waves.
 3. **Frontier update + checkpoint** — fresh candidates + politeness
    deferrals + bounded 5xx retries form the next frontier; per-epoch order
    + lineage tables (+ the url_hash of robots-dropped rows), and a
-   frontier snapshot plus the per-shard dedup counters every
+   frontier snapshot plus the crawl's dedup check and hit totals every
    ``checkpoint_interval`` epochs. An epoch's tables go out as ONE Ray
    write task, overlapped with the next wave's fetch; the driver's
    control plane is one round trip per service per wave (one robots
@@ -85,7 +85,7 @@ import itertools
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
@@ -219,10 +219,6 @@ class CrawlConfig:
         if self.fetch_mode != "pool":
             raise ValueError(f"fetch_mode must be 'pool', not {self.fetch_mode!r}")
 
-    def key(self) -> str:
-        payload = asdict(self)
-        return json.dumps(payload, sort_keys=True, default=str)
-
 
 _PAGE_SLIM_COLS = [
     "url", "final_url", "url_hash", "host", "depth", "status", "content_type",
@@ -293,18 +289,21 @@ class _ChunkWorker:
     ) -> dict:
         """``_fused_chunk`` over ``from_wire(chunk)``, admitting through
         this worker's seen handles; its tables return ``to_wire``-encoded,
-        and the result also carries ``dedup``, the per-shard ``[checks,
-        hits]`` of the probes this chunk sent."""
-        dedup = np.zeros((self.seen.n_shards, 2), dtype=np.int64)
+        and the result also carries ``n_checks``, the number of keys this
+        chunk sent to the seen shards."""
+        n_checks = 0
+
+        def admit(candidates: pa.Table) -> pa.Table:
+            nonlocal n_checks
+            fresh, n_checks = _chunk_dedup(candidates, self.seen, self.bloom, self.max_depth)
+            return fresh
+
         out = _fused_chunk(
-            self.stage, from_wire(chunk), keep_content, sink, part_id, n_partitions,
-            lambda candidates: _chunk_dedup(
-                candidates, self.seen, self.bloom, self.max_depth, dedup
-            ),
+            self.stage, from_wire(chunk), keep_content, sink, part_id, n_partitions, admit
         )
         for name in ("fresh", "failed", "lineage"):
             out[name] = to_wire(out[name])
-        out["dedup"] = dedup
+        out["n_checks"] = n_checks
         return out
 
 
@@ -504,38 +503,21 @@ def _candidate_table(pairs: list[tuple], rows: np.ndarray, pages: pa.Table) -> p
     )
 
 
-def _shard_counts(keys: np.ndarray, unseen: np.ndarray, n_shards: int) -> np.ndarray:
-    """Per-shard ``[checks, hits]`` that one ``check_and_add(keys)`` adds
-    to the owning shards (shard = url_hash % n_shards)."""
-    shard = (keys % np.uint64(n_shards)).astype(np.int64)
-    return np.stack(
-        [
-            np.bincount(shard, minlength=n_shards),
-            np.bincount(shard[~unseen], minlength=n_shards),
-        ],
-        axis=1,
-    )
-
-
-def _chunk_dedup(
-    candidates: pa.Table, seen, bloom, max_depth, counts: np.ndarray | None = None
-) -> pa.Table:
+def _chunk_dedup(candidates: pa.Table, seen, bloom, max_depth) -> tuple[pa.Table, int]:
     """Worker-side seen-set admission for one chunk's candidates: optional
     per-worker bloom pre-filter (repeat duplicates skip the RPC), then one
     batched check_and_add fan-out to the hash-owned shard actors. The
     admitted SET is order-independent (shard admission is exactly-once per
-    key), so chunk completion order can't change the frontier. ``counts``
-    (n_shards x 2), when given, accumulates the per-shard ``[checks,
-    hits]`` of the keys sent to the shards — bloom-skipped keys are never
-    sent, so they count nowhere, exactly as the shards count."""
-    if candidates.num_rows == 0:
-        return candidates
+    key), so chunk completion order can't change the frontier. Returns the
+    admitted candidates and the number of keys sent to the shards (the
+    crawl's dedup checks): depth-filtered and bloom-skipped keys are never
+    sent, so they count nowhere."""
     if max_depth is not None:
         candidates = candidates.filter(
             pc.less_equal(candidates.column("depth"), max_depth)
         )
-        if candidates.num_rows == 0:
-            return candidates
+    if candidates.num_rows == 0:
+        return candidates, 0
     keys = candidates.column("url_hash").to_numpy().astype(np.uint64)
     sent = (
         ~bloom.contains_many(keys) if bloom is not None
@@ -546,9 +528,7 @@ def _chunk_dedup(
         unseen[sent] = seen.check_and_add(keys[sent])
         if bloom is not None:
             bloom.add_many(keys[sent])
-        if counts is not None:
-            counts += _shard_counts(keys[sent], unseen[sent], seen.n_shards)
-    return candidates.filter(pa.array(unseen))
+    return candidates.filter(pa.array(unseen)), int(sent.sum())
 
 
 def _failed_rows(pages_slim: pa.Table) -> pa.Table:
@@ -1113,20 +1093,14 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             itertools.chain([table.column("url_hash")], *(f.keys() for f in frontier.runset.files)),
         )
         frontier.runset.add_table(table)
-        counters = store.seen_counters(last)
+        checks, hits = store.seen_counters(last)
         start_epoch = last + 1
     else:
         seed_table = frontier_from_seeds(config.seeds)
         seed_keys = seed_table.column("url_hash").to_numpy().astype(np.uint64)
         unseen = seen.check_and_add(seed_keys)
-        counters = _shard_counts(seed_keys, unseen, config.n_seen_shards)
+        checks, hits = len(seed_keys), len(seed_keys) - int(unseen.sum())
         frontier.runset.add_table(seed_table.filter(pa.array(unseen)))
-    # per-shard [dedup_checks, dedup_hits] of every probe the crawl has
-    # committed: the seed admission (or the checkpoint's counters) plus the
-    # counts each collected chunk returns — the shards are never asked
-    dedup = np.zeros((config.n_seen_shards, 2), dtype=np.int64)
-    if counters is not None:
-        dedup += np.asarray(counters, dtype=np.int64)
 
     pages_fetched = 0
     images_written = 0
@@ -1216,22 +1190,20 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             wave_rest, config, fetch_pool, store, epoch,
             carried=spec_prev, next_spec=next_spec,
         )
-        if meta is None or meta["n_pages"] == 0:
-            if spec_state is not None:  # drain + discard dangling speculation
-                ray.get(spec_state["refs"])
-                _epoch_sink(store, epoch + 1, clear=True)
-                spec_state = None
-            break
         pages_fetched += meta["n_pages"]
         images_written += meta["n_images"]
-        dedup += meta["dedup"]
+        fresh_table = meta["fresh"]  # admitted by the workers
+        # the crawl's dedup totals (the shards count nothing): each key a
+        # collected chunk sent is a check, each one it did not admit a hit
+        checks += meta["n_checks"]
+        hits += meta["n_checks"] - fresh_table.num_rows
 
         # previous epoch's checkpoint writes overlapped with this fetch;
         # gather them now and only then mark that epoch complete
         if pending_writes is not None:
             prev_epoch, prev_refs, prev_counters = pending_writes
             ray.get(prev_refs)
-            store.mark_epoch_complete(prev_epoch, config.key(), prev_counters)
+            store.mark_epoch_complete(prev_epoch, prev_counters)
             pending_writes = None
 
         # ---- crawl order (epoch, seq) -----------------------------------
@@ -1246,12 +1218,10 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             }
         )
 
-        # ---- fresh candidates (admitted by the workers) → next frontier --
-        fresh_table = meta["fresh"]
-
         # ---- retries: 5xx rows re-enqueue with attempts+1 ----------------
         retry_rows = _retry_rows(meta["failed"], wave, config.retry_max_attempts)
 
+        # ---- fresh candidates + retries → next frontier -----------------
         frontier = deferred.with_extra(
             pa.concat_tables([_as_frontier(t) for t in (fresh_table, retry_rows)])
         )
@@ -1267,7 +1237,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
                 meta["lineage_fetch"],
                 meta["n_candidates_raw"],
                 fresh_table.num_rows,
-                meta["dedup"],
+                meta["n_checks"],
             ),
             **_drop_log(dropped),
         }
@@ -1281,7 +1251,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             # this checkpoint, so the seen set rebuilt from it lacks them
             # and the re-fetch admits them again; a seen snapshot taken
             # here would hold them and lose them for good. Their probes are
-            # not in the counters either: a chunk's counts join ``dedup``
+            # not in the counters either: a chunk's checks join ``checks``
             # only when the epoch that collects it does.
             tables.update(
                 _checkpoint_frontier(
@@ -1290,14 +1260,14 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             )
         unflushed_refs.append(store.write_async(epoch, tables))
         if checkpoint:
-            pending_writes = (epoch, unflushed_refs, dedup.tolist())
+            pending_writes = (epoch, unflushed_refs, [checks, hits])
             unflushed_refs = []
         epoch += 1
 
     if pending_writes is not None:
         prev_epoch, prev_refs, prev_counters = pending_writes
         ray.get(prev_refs)
-        store.mark_epoch_complete(prev_epoch, config.key(), prev_counters)
+        store.mark_epoch_complete(prev_epoch, prev_counters)
         pending_writes = None
     if unflushed_refs or (epoch > start_epoch and store.last_epoch() != epoch - 1):
         # final (partial-interval) checkpoint so the finished state is
@@ -1309,7 +1279,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             )
         ray.get(unflushed_refs)
         if epoch > 0:
-            store.mark_epoch_complete(epoch - 1, config.key(), dedup.tolist())
+            store.mark_epoch_complete(epoch - 1, [checks, hits])
         unflushed_refs = []
     store.mark_done()
     shutil.rmtree(runs_dir, ignore_errors=True)  # the checkpoints link what they need
@@ -1325,8 +1295,8 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         epochs=epoch - start_epoch,
         pages_fetched=pages_fetched,
         images_written=images_written,
-        dedup_checks=int(dedup[:, 0].sum()),
-        dedup_hits=int(dedup[:, 1].sum()),
+        dedup_checks=checks,
+        dedup_hits=hits,
         seen_size=seen_size,
     )
 
@@ -1417,11 +1387,13 @@ def _fetch_wave(
     epoch: int,
     carried: dict | None = None,
     next_spec: pa.Table | None = None,
-) -> tuple[dict | None, dict | None]:
+) -> tuple[dict, dict | None]:
     """Fetch+parse+extract+admit one wave → (meta, spec_state). meta:
     {fresh, failed, lineage_fetch, n_pages, n_images, n_candidates_raw,
-    dedup}; ``dedup`` sums the collected chunks' per-shard [checks, hits],
-    carried speculation included.
+    n_checks}; ``n_checks`` sums the keys the collected chunks sent to the
+    seen shards, carried speculation included. A non-empty wave has at
+    least one chunk, and a chunk writes one page per row, so ``n_pages``
+    is the wave's row count (carried rows included).
 
     The wave is cut into strided chunks (i::n — cheap HTML rows and
     expensive image rows mix evenly), ~2 per fetch slot, each run by the
@@ -1471,8 +1443,6 @@ def _fetch_wave(
     # last epoch; FIFO per actor means they complete before this wave's
     # later chunks on the same worker)
     parts = ray.get((carried["refs"] if carried is not None else []) + refs)
-    if not parts:
-        return None, spec_state
 
     def tables(name: str) -> pa.Table:
         return pa.concat_tables([from_wire(p[name]) for p in parts])
@@ -1484,7 +1454,7 @@ def _fetch_wave(
         "n_pages": sum(p["n_pages"] for p in parts),
         "n_images": sum(p["n_images"] for p in parts),
         "n_candidates_raw": sum(p["n_candidates_raw"] for p in parts),
-        "dedup": sum(p["dedup"] for p in parts),
+        "n_checks": sum(p["n_checks"] for p in parts),
     }, spec_state
 
 
@@ -1512,11 +1482,12 @@ def _lineage_table(
     fetch_partials: pa.Table,
     candidates_n: int,
     fresh_n: int,
-    dedup: np.ndarray,
+    checks: int,
 ) -> pa.Table:
     """Per-partition lineage rows (the chunks' fetch partials summed with
-    one bincount per counter) plus one dedup-stage row carrying the
-    epoch's chunk-counted per-shard ``[checks, hits]`` (``dedup``)."""
+    one bincount per counter) plus one dedup-stage row: the epoch's
+    ``checks`` (keys its chunks sent to the seen shards) and its hits,
+    the checks that admitted nothing (``checks - fresh_n``)."""
     pid = fetch_partials.column("partition_id").to_numpy()
     ids = np.flatnonzero(np.bincount(pid))
     rows, hits, errors = (
@@ -1526,7 +1497,6 @@ def _lineage_table(
         for c in ("rows", "cache_hits", "errors")
     )
     n = len(ids)
-    checks, dedup_hits = (int(v) for v in np.asarray(dedup).sum(axis=0))
     return pa.table(
         {
             "epoch": [epoch] * (n + 1),
@@ -1537,7 +1507,7 @@ def _lineage_table(
             "fetches": [*(r - h for r, h in zip(rows, hits)), None],
             "cache_hits": [*hits, None],
             "dedup_checks": [None] * n + [checks],
-            "dedup_hits": [None] * n + [dedup_hits],
+            "dedup_hits": [None] * n + [checks - fresh_n],
             "errors": [*errors, None],
             "wall_ms": [None] * (n + 1),
         },

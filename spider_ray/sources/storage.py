@@ -116,8 +116,9 @@ except ImportError:  # pragma: no cover
 class EpochStore:
     """Checkpoint layout for a crawl run.
 
-    ``root/manifest.json`` records completed epochs and, per completed
-    epoch, the per-shard ``(dedup_checks, dedup_hits)`` counters;
+    ``root/manifest.json`` records the completed epochs, whether the crawl
+    is done and, per completed epoch, the crawl's ``[dedup_checks,
+    dedup_hits]`` totals at that point;
     per-epoch directories hold frontier / pages / images / documents /
     lineage / order tables, plus a ``dropped`` table (url_hash of the
     robots-filtered rows) for each epoch that dropped any. A frontier that
@@ -139,7 +140,7 @@ class EpochStore:
     def manifest(self) -> dict:
         path = os.path.join(self.root, "manifest.json")
         if not os.path.exists(path):
-            return {"completed_epochs": [], "config": None, "done": False}
+            return {"completed_epochs": [], "done": False}
         with open(path) as f:
             return json.load(f)
 
@@ -154,21 +155,17 @@ class EpochStore:
         done = self.manifest()["completed_epochs"]
         return max(done) if done else None
 
-    def mark_epoch_complete(
-        self, epoch: int, config_key: str, seen_counters: list | None = None
-    ) -> None:
+    def mark_epoch_complete(self, epoch: int, seen_counters: list) -> None:
         """Record ``epoch`` as a completed checkpoint; ``seen_counters`` is
-        the per-shard ``[dedup_checks, dedup_hits]`` list at that point."""
+        the crawl's ``[dedup_checks, dedup_hits]`` totals at that point."""
         m = self.manifest()
         if epoch not in m["completed_epochs"]:
             m["completed_epochs"].append(epoch)
-        m["config"] = config_key
-        if seen_counters is not None:
-            m.setdefault("seen_counters", {})[str(epoch)] = seen_counters
+        m.setdefault("seen_counters", {})[str(epoch)] = seen_counters
         self._write_manifest(m)
 
     def seen_counters(self, epoch: int) -> list | None:
-        """Per-shard seen counters recorded with checkpoint ``epoch``."""
+        """``[dedup_checks, dedup_hits]`` recorded with checkpoint ``epoch``."""
         return self.manifest().get("seen_counters", {}).get(str(epoch))
 
     def mark_done(self) -> None:

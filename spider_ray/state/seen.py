@@ -1,4 +1,4 @@
-"""Sharded URL-seen set: named actors holding bloom + cuckoo (+ exact) state.
+"""Sharded URL-seen set: named actors, each holding one membership structure.
 
 This is the engine's central dedup structure (north rule: "sharded
 cuckoo-filter URL-seen set (with bloom pre-filter) keyed by
@@ -7,139 +7,112 @@ page-scope `Set<string>` dedup (src/shared/links.ts:20-35) → a global,
 sharded membership set.
 
 Design (SURVEY.md §4):
-- ``n_shards`` actors, shard = ``url_hash % n_shards``; each actor's
-  authoritative set is a CuckooFilter or, in conformance mode, an exact
+- ``n_shards`` actors, shard = ``url_hash % n_shards``; each actor holds
+  membership only: a CuckooFilter or, in conformance mode, an exact
   uint64 set alone (the "exact-dedup oracle path for tests" — cuckoo FPs
   would otherwise be able to drop a URL wrongly at small probability).
+  The bloom pre-filter lives in the fetch workers, not here.
 - Probes are *batched RPCs*, not a Dataset shuffle: a fetch/dedup stage
   splits a batch's hashes by shard with one vectorized pass and issues the
   shard calls concurrently. At 10^10 URLs this costs O(batch) network
   messages per batch instead of an all-to-all exchange per wave.
 - ``check_and_add`` is atomic per shard (actor serializes calls), giving
   exactly-once admission to the frontier.
+- Counting: the shards count nothing. The crawl's dedup checks are the
+  keys each chunk sends to the shards, and its hits are those checks
+  less the keys admitted; the driver sums them and records the totals in
+  the checkpoint manifest.
 - Checkpoint: the seen set is derived state, never snapshotted by the
   crawl. Every admitted key is already on disk in a checkpoint (fetched →
   ``order``, not yet fetched → ``frontier``, robots-filtered →
   ``dropped``), so a resume bulk-``load``s those url_hashes into fresh
   shards. ``load`` is replay-idempotent (re-adding a present key is a
-  no-op) and never counts. The crawl's ``dedup_checks``/``dedup_hits``
-  are not read from the shards either: each chunk returns the per-shard
-  counts of its own probes, and the driver sums them and records them in
-  the checkpoint manifest.
-  ``snapshot()``/``restore()`` (the filter bytes per shard, as
-  schemas.SEEN_SCHEMA rows) remain as library code.
+  no-op). ``snapshot()``/``restore()`` (the shard's membership structure,
+  as schemas.SEEN_SCHEMA rows) remain as library code.
 """
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import ray
 
-from .bloom import BloomFilter
 from .cuckoo import CuckooFilter
 
 
 class SeenShardState:
-    """Plain (actor-free) shard state — unit-testable without Ray."""
+    """Plain (actor-free) shard state — unit-testable without Ray. It holds
+    one membership structure: ``exact_set`` in exact mode, else
+    ``cuckoo``; the other is None."""
 
     def __init__(self, capacity: int, exact: bool):
-        self.cuckoo = CuckooFilter(capacity)
         self.exact_set: set[int] | None = set() if exact else None
-        self.dedup_checks = 0
-        self.dedup_hits = 0
+        self.cuckoo = None if exact else CuckooFilter(capacity)
 
     def check_and_add(self, keys: np.ndarray) -> np.ndarray:
         """Return mask of keys that were UNSEEN; mark all of them seen."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        unseen = self._admit(keys)
-        self.dedup_checks += len(keys)
-        self.dedup_hits += int((~unseen).sum())
-        return unseen
+        return self._admit(np.asarray(keys, dtype=np.uint64))
 
     def load(self, keys: np.ndarray) -> None:
-        """Mark ``keys`` seen without counting them as checks or hits (the
-        resume rebuild). Exact mode rebuilds the same exact set. In
-        cuckoo-only mode no two admitted keys share a (fingerprint, bucket
-        pair) — the later one would have been a false positive of the
-        earlier — so loading them in any order stores the same entries and
-        ``n_items``, unless a shard overflowed its capacity."""
+        """Mark ``keys`` seen (the resume rebuild). Exact mode rebuilds the
+        same exact set. In cuckoo-only mode no two admitted keys share a
+        (fingerprint, bucket pair) — the later one would have been a false
+        positive of the earlier — so loading them in any order stores the
+        same entries and ``n_items``, unless a shard overflowed its
+        capacity. It goes through ``_admit``, not ``check_and_add``, so a
+        per-call probe count (perfbench's ``seen.shard`` span) leaves the
+        rebuild out."""
         self._admit(np.asarray(keys, dtype=np.uint64))
 
     def _admit(self, keys: np.ndarray) -> np.ndarray:
         # first-occurrence mask so duplicates *within* a batch dedup too
         _, first_idx = np.unique(keys, return_index=True)
-        first = np.zeros(len(keys), dtype=bool)
-        first[first_idx] = True
+        unseen = np.zeros(len(keys), dtype=bool)
+        unseen[first_idx] = True
+        unseen &= ~self.probe(keys)
         if self.exact_set is not None:
-            unseen = first & np.fromiter(
-                (int(k) not in self.exact_set for k in keys),
-                dtype=bool,
-                count=len(keys),
-            )
-            self.exact_set.update(int(k) for k in keys[unseen])
+            self.exact_set.update(keys[unseen].tolist())
         else:
-            unseen = first & ~self.cuckoo.contains_many(keys)
             self.cuckoo.add_many(keys[unseen])
         return unseen
 
     def probe(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
         if self.exact_set is not None:
+            members = self.exact_set
             return np.fromiter(
-                (int(k) in self.exact_set for k in keys), dtype=bool, count=len(keys)
+                (k in members for k in keys.tolist()), dtype=bool, count=len(keys)
             )
         return self.cuckoo.contains_many(keys)
 
     # fixed binary snapshot format (no pickle — a checkpoint read from a
     # tampered/untrusted out_dir must not be able to execute code):
-    # magic "SRSN1" | checks:u64 | hits:u64 | cuckoo_len:u64 | cuckoo bytes
-    # | exact_flag:u8 | [exact_len:u64 | raw uint64 key array]
-    _SNAP_MAGIC = b"SRSN1"
+    # magic "SRSN2" | exact_flag:u8 | payload_len:u64 | payload, the payload
+    # being the raw uint64 exact keys (flag 1) or the cuckoo bytes (flag 0)
+    _SNAP_MAGIC = b"SRSN2"
 
     def snapshot(self) -> bytes:
-        import struct
-
-        cuckoo = self.cuckoo.to_bytes()
-        parts = [
-            self._SNAP_MAGIC,
-            struct.pack("<QQQ", self.dedup_checks, self.dedup_hits, len(cuckoo)),
-            cuckoo,
-        ]
-        if self.exact_set is not None:
-            raw = np.fromiter(
-                self.exact_set, dtype=np.uint64, count=len(self.exact_set)
-            ).tobytes()
-            parts.append(struct.pack("<BQ", 1, len(raw)))
-            parts.append(raw)
-        else:
-            parts.append(struct.pack("<B", 0))
-        return b"".join(parts)
+        exact = self.exact_set is not None
+        payload = (
+            np.fromiter(self.exact_set, dtype=np.uint64, count=len(self.exact_set)).tobytes()
+            if exact else self.cuckoo.to_bytes()
+        )
+        return self._SNAP_MAGIC + struct.pack("<BQ", exact, len(payload)) + payload
 
     @classmethod
     def from_snapshot(cls, data: bytes) -> "SeenShardState":
-        import struct
-
-        if data[:5] != cls._SNAP_MAGIC:
+        magic = cls._SNAP_MAGIC
+        if data[: len(magic)] != magic:
             raise ValueError("bad seen-shard snapshot header")
-        off = 5
-        checks, hits, clen = struct.unpack_from("<QQQ", data, off)
-        off += 24
-        cuckoo_bytes = data[off : off + clen]
-        off += clen
-        (flag,) = struct.unpack_from("<B", data, off)
-        off += 1
+        exact, n = struct.unpack_from("<BQ", data, len(magic))
+        off = len(magic) + struct.calcsize("<BQ")
+        payload = data[off : off + n]
         obj = cls.__new__(cls)
-        obj.cuckoo = CuckooFilter.from_bytes(cuckoo_bytes)
-        if flag:
-            (elen,) = struct.unpack_from("<Q", data, off)
-            off += 8
-            obj.exact_set = set(
-                np.frombuffer(data[off : off + elen], dtype=np.uint64).tolist()
-            )
-        else:
-            obj.exact_set = None
-        obj.dedup_checks = checks
-        obj.dedup_hits = hits
+        obj.exact_set = (
+            set(np.frombuffer(payload, dtype=np.uint64).tolist()) if exact else None
+        )
+        obj.cuckoo = None if exact else CuckooFilter.from_bytes(payload)
         return obj
 
     def stats(self) -> dict:
@@ -147,8 +120,6 @@ class SeenShardState:
             "n_items": (
                 len(self.exact_set) if self.exact_set is not None else self.cuckoo.n_items
             ),
-            "dedup_checks": self.dedup_checks,
-            "dedup_hits": self.dedup_hits,
         }
 
 
@@ -210,41 +181,31 @@ class ShardedSeen:
         shard_ids = (keys % np.uint64(self.n_shards)).astype(np.int64)
         return shard_ids, [keys[shard_ids == s] for s in range(self.n_shards)]
 
+    def _scatter(self, method: str, keys: np.ndarray) -> np.ndarray:
+        """Call ``method`` on each shard with the keys it owns, all shards
+        at once, and gather their masks back into input order."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        out = np.zeros(len(keys), dtype=bool)
+        if len(keys) == 0:
+            return out
+        shard_ids, parts = self._split(keys)
+        owners = [s for s in range(self.n_shards) if len(parts[s])]
+        masks = ray.get(
+            [getattr(self.shards[s], method).remote(parts[s]) for s in owners]
+        )
+        for s, mask in zip(owners, masks):
+            out[shard_ids == s] = mask
+        return out
+
     def check_and_add(self, keys: np.ndarray) -> np.ndarray:
         """Batched, sharded probe-and-insert; preserves input order."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        shard_ids, parts = self._split(keys)
-        refs = {
-            s: self.shards[s].check_and_add.remote(parts[s])
-            for s in range(self.n_shards)
-            if len(parts[s])
-        }
-        results = {s: ray.get(r) for s, r in refs.items()}
-        out = np.zeros(len(keys), dtype=bool)
-        for s, mask in results.items():
-            out[shard_ids == s] = mask
-        return out
+        return self._scatter("check_and_add", keys)
 
     def probe(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        shard_ids, parts = self._split(keys)
-        refs = {
-            s: self.shards[s].probe.remote(parts[s])
-            for s in range(self.n_shards)
-            if len(parts[s])
-        }
-        results = {s: ray.get(r) for s, r in refs.items()}
-        out = np.zeros(len(keys), dtype=bool)
-        for s, mask in results.items():
-            out[shard_ids == s] = mask
-        return out
+        return self._scatter("probe", keys)
 
     def load(self, batches) -> None:
-        """Bulk-load key batches into the shards without counting them.
+        """Bulk-load key batches into the shards; no mask comes back.
         Every call is submitted asynchronously (one per shard per batch,
         FIFO per shard) and awaited once at the end, so the driver holds
         one batch at a time."""
@@ -284,8 +245,4 @@ class ShardedSeen:
     def stats(self) -> dict:
         """Totals over the shards."""
         per = ray.get([s.stats.remote() for s in self.shards])
-        return {
-            "n_items": sum(p["n_items"] for p in per),
-            "dedup_checks": sum(p["dedup_checks"] for p in per),
-            "dedup_hits": sum(p["dedup_hits"] for p in per),
-        }
+        return {"n_items": sum(p["n_items"] for p in per)}

@@ -716,12 +716,15 @@ def test_lineage_metrics_recorded(small_crawl):
     assert sum(dedup_rows.column("dedup_checks").to_pylist()) > 0
     total_hits = sum(dedup_rows.column("dedup_hits").to_pylist())
     assert total_hits == result.dedup_hits
+    # every epoch's hits are its checks that admitted nothing
+    for row in dedup_rows.to_pylist():
+        assert row["dedup_hits"] == row["dedup_checks"] - row["rows_out"], row
 
 
 def test_lineage_table_matches_groupby_reference():
     """The per-epoch lineage table sums the chunks' fetch partials per
     partition exactly as a pandas groupby would, and its dedup row carries
-    the epoch's summed per-shard chunk counters."""
+    the epoch's chunk-sent checks and derives the hits from them."""
     import pyarrow as pa
 
     from spider_ray.pipelines.crawl import _lineage_fetch_partial, _lineage_table
@@ -737,7 +740,7 @@ def test_lineage_table_matches_groupby_reference():
         })
         parts.append(_lineage_fetch_partial(pages, 4))
     partials = pa.concat_tables(parts)
-    got = _lineage_table(7, partials, 50, 20, np.array([[3, 1], [4, 2]]))
+    got = _lineage_table(7, partials, 50, 20, 23)
     assert got.schema == LINEAGE_SCHEMA
     ref = (
         partials.to_pandas()
@@ -753,5 +756,5 @@ def test_lineage_table_matches_groupby_reference():
     assert got.to_pylist()[-1] == {
         "epoch": 7, "partition_id": -1, "stage": "dedup", "rows_in": 50,
         "rows_out": 20, "fetches": None, "cache_hits": None,
-        "dedup_checks": 7, "dedup_hits": 3, "errors": None, "wall_ms": None,
+        "dedup_checks": 23, "dedup_hits": 3, "errors": None, "wall_ms": None,
     }

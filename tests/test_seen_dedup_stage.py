@@ -22,8 +22,8 @@ def test_sharded_seen_client(ray_session):
     first = seen.check_and_add(keys)
     assert first.tolist() == [True, True, True, False, True]
     assert seen.probe(np.array([10, 99], dtype=np.uint64)).tolist() == [True, False]
-    stats = seen.stats()  # probe() is non-mutating and doesn't count
-    assert stats["dedup_checks"] == 5 and stats["n_items"] == 4
+    # probe() is non-mutating: 99 was not added
+    assert seen.stats() == {"n_items": 4}
     # snapshot / restore round-trip
     snap = seen.snapshot_table()
     seen2 = ShardedSeen.create(n_shards=4, capacity_per_shard=4096, exact=True)
@@ -33,20 +33,22 @@ def test_sharded_seen_client(ray_session):
 
 def test_chunk_admission_with_bloom(ray_session):
     """First occurrence wins within a chunk, the worker's bloom skips the
-    RPC for keys it already probed, and depth filtering runs before any
-    probe."""
+    RPC for keys it already probed, depth filtering runs before any
+    probe, and the chunk counts exactly the keys it sent."""
     from spider_ray.pipelines.crawl import _chunk_dedup
     from spider_ray.state.bloom import BloomFilter
 
     seen = ShardedSeen.create(n_shards=2, capacity_per_shard=4096, exact=True)
     bloom = BloomFilter(4096, 0.001)
-    out1 = _chunk_dedup(_cand([1, 2, 3, 2]), seen, bloom, None)
+    out1, sent1 = _chunk_dedup(_cand([1, 2, 3, 2]), seen, bloom, None)
     assert sorted(out1.column("url_hash").to_pylist()) == [1, 2, 3]
-    checks = seen.stats()["dedup_checks"]
-    out2 = _chunk_dedup(_cand([2, 3, 4]), seen, bloom, None)
+    assert sent1 == 4  # the in-chunk duplicate is sent, and is a hit
+    out2, sent2 = _chunk_dedup(_cand([2, 3, 4]), seen, bloom, None)
     assert out2.column("url_hash").to_pylist() == [4]
-    assert seen.stats()["dedup_checks"] == checks + 1  # 2 and 3 never probed
-    assert _chunk_dedup(_cand([]), seen, bloom, None).num_rows == 0
-    deep = _chunk_dedup(_cand([5, 6], depths=[3, 2]), seen, None, 2)
+    assert sent2 == 1  # 2 and 3 never probed
+    empty, sent = _chunk_dedup(_cand([]), seen, bloom, None)
+    assert empty.num_rows == 0 and sent == 0
+    deep, sent = _chunk_dedup(_cand([5, 6], depths=[3, 2]), seen, None, 2)
     assert deep.column("url_hash").to_pylist() == [6]
+    assert sent == 1  # the depth-filtered key is not sent
     assert not seen.probe(np.array([5], dtype=np.uint64)).any()

@@ -43,9 +43,28 @@ def test_seen_shard_exact_mode_and_snapshot():
     assert unseen.tolist() == [True, True, True, False, False]
     again = st.check_and_add(np.array([3, 4], dtype=np.uint64))
     assert again.tolist() == [False, True]
-    assert st.stats()["dedup_hits"] == 3
+    assert st.stats() == {"n_items": 4}
     st2 = SeenShardState.from_snapshot(st.snapshot())
+    assert st2.stats() == {"n_items": 4}
     assert st2.check_and_add(np.array([4, 5], dtype=np.uint64)).tolist() == [False, True]
+
+
+def test_exact_seen_shard_holds_only_its_exact_set():
+    """An exact shard builds no cuckoo table, so its snapshot is its keys:
+    1,000 keys at the crawl's default capacity snapshot in well under
+    64 KB (an unused 1 << 20 cuckoo table alone is 4 MB), and come back
+    whole."""
+    keys = np.arange(1, 1001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    st = SeenShardState(1 << 20, exact=True)
+    assert st.check_and_add(keys).all()
+    assert st.cuckoo is None
+    snap = st.snapshot()
+    assert len(snap) < 64 * 1024
+    back = SeenShardState.from_snapshot(snap)
+    assert back.cuckoo is None and back.exact_set == st.exact_set
+    assert back.stats() == {"n_items": 1000}
+    assert back.probe(keys).all()
+    assert not back.probe(keys + np.uint64(1)).any()
 
 
 def test_seen_shard_cuckoo_mode():
@@ -115,8 +134,8 @@ def test_robots_fractional_crawl_delay():
 
 
 def test_seen_shard_load_does_not_count():
-    """The resume rebuild marks keys seen without counting them, and a
-    rebuild in any order gives back the same set and size."""
+    """The resume rebuild marks keys seen, and a rebuild in any order
+    gives back the same set and size."""
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 2**63, size=3000, dtype=np.uint64)
     probes = rng.integers(0, 2**63, size=20_000, dtype=np.uint64)
@@ -126,20 +145,22 @@ def test_seen_shard_load_does_not_count():
         rebuilt = SeenShardState(capacity=4096, exact=exact)
         rebuilt.load(admitted[::-1])
         rebuilt.load(admitted[:100])  # a key logged twice loads once
-        assert rebuilt.stats() == {"n_items": st.stats()["n_items"], "dedup_checks": 0, "dedup_hits": 0}
+        assert rebuilt.stats() == st.stats()
         assert np.array_equal(rebuilt.probe(probes), st.probe(probes))
         assert not rebuilt.check_and_add(admitted).any()
 
 
 def test_exact_seen_shard_counts_past_its_cuckoo_capacity():
-    """An exact shard's size is its exact set: more distinct keys than
-    the sized cuckoo's 2,048 slots are all admitted and all counted."""
+    """An exact shard's size is its exact set: more distinct keys than a
+    cuckoo of that capacity has slots (2,048) are all admitted and all
+    counted."""
     keys = np.arange(1, 2101, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     st = SeenShardState(capacity=1024, exact=True)
     for batch in np.array_split(keys, 21):
         assert st.check_and_add(batch).all()
     assert not st.check_and_add(keys).any()
-    assert st.stats() == {"n_items": 2100, "dedup_checks": 4200, "dedup_hits": 2100}
+    assert st.stats() == {"n_items": 2100}
+    assert st.probe(keys).all()
 
 
 def test_epoch_store_projected_reads_and_counters(tmp_path):
@@ -156,11 +177,15 @@ def test_epoch_store_projected_reads_and_counters(tmp_path):
     assert store.read("order", 0, ["url_hash"]).column_names == ["url_hash"]
     got = store.read_all("order", columns=["url_hash"])
     assert got.column_names == ["url_hash"] and got.num_rows == 3
-    store.mark_epoch_complete(0, "cfg", [[5, 1], [7, 2]])
-    store.mark_epoch_complete(2, "cfg", [[9, 3], [8, 2]])
-    assert store.seen_counters(0) == [[5, 1], [7, 2]]
-    assert store.seen_counters(2) == [[9, 3], [8, 2]]
+    store.mark_epoch_complete(0, [12, 3])
+    store.mark_epoch_complete(2, [29, 8])
+    assert store.seen_counters(0) == [12, 3]
+    assert store.seen_counters(2) == [29, 8]
     assert store.seen_counters(1) is None
+    assert store.manifest() == {
+        "completed_epochs": [0, 2], "done": False,
+        "seen_counters": {"0": [12, 3], "2": [29, 8]},
+    }
 
 
 def test_politeness_screen_matches_separate_calls(ray_session, tmp_path):
