@@ -149,11 +149,6 @@ def run_bench() -> dict:
             driver_wave_threshold=10_000_000,
             checkpoint_interval=4,  # durable every 4 waves; resume replays ≤3
             max_epochs=256,
-            # split-wave pipelining: epoch k+1's head speculates from the
-            # known deferred frontier while epoch k drains — scale mode only
-            # (the conformance queries keep the strict barrier).
-            # BENCH_PIPELINE=0 gives the barrier-mode A/B in the same window.
-            pipeline_waves=os.environ.get("BENCH_PIPELINE", "1") != "0",
         )
         crawl_probes.append(_host_probe_sec())
         t0 = time.perf_counter()

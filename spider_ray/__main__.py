@@ -87,7 +87,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         fetch_num_cpus=args.worker_cpus,
         checkpoint_interval=args.checkpoint_interval,
         max_epochs=args.max_epochs,
-        pipeline_waves=args.scale_mode,
     )
     result = run_crawl(config, resume=args.resume)
     _emit(
@@ -206,8 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     c.add_argument(
         "--scale-mode",
         action="store_true",
-        help="cuckoo-only seen set + bloom pre-filter + split-wave "
-        "pipelining (conformance default: exact seen, strict barriers)",
+        help="cuckoo-only seen set + bloom pre-filter "
+        "(conformance default: exact seen)",
     )
     c.add_argument(
         "--seed-from-sitemaps",

@@ -109,8 +109,6 @@ from ..state.politeness import POLITENESS_NUM_CPUS, PolitenessPool
 from ..state.seen import SHARD_NUM_CPUS, ShardedSeen
 
 _FIXED_EPOCH_MS = 1_700_000_000_000
-# split-wave pipelining speculates this share of wave_k (CrawlConfig.pipeline_waves)
-_SPEC_WAVE_FRAC = 0.5
 
 @dataclass
 class CrawlConfig:
@@ -197,27 +195,14 @@ class CrawlConfig:
     #             browser serializes page loads); pure-HTTP resolvers run
     #             fine at fractional CPUs.
     resolver_factory: "object | None" = None
-    # Split-wave pipelining: overlap epoch k+1's head with epoch k's tail.
-    # After wave k's chunks are all submitted, the top ``_SPEC_WAVE_FRAC *
-    # wave_k`` rows of the ALREADY-KNOWN deferred frontier (a cut of its
-    # sorted runs) are queued behind them in the worker mailboxes (FIFO per
-    # actor) — those rows are admitted-and-unseen, so they must be fetched
-    # eventually and the speculation can never waste a fetch. Workers
-    # therefore roll straight into epoch k+1 work while the driver collects
-    # results, writes order/lineage, checkpoints, and cuts the rest of wave
-    # k+1. Deviation from conformance mode: wave k+1 = spec-rows ++
-    # top-of-the-rest, so a fresh candidate that outranks a speculated row
-    # waits one extra epoch — the fetched SET, dedup guarantees and totals
-    # are identical (pinned by tests/test_crawl.py), only the (epoch, seq)
-    # assignment shifts. Off by default; requires robots off and a
-    # per-host cap that cannot bind within one wave (cap >= wave_k: two
-    # sub-cuts of a wave would otherwise admit 2x cap per host) —
-    # otherwise silently runs unpipelined.
+    # ignored; kept only until perfbench/workloads.py stops passing it
     pipeline_waves: bool = False
 
     def __post_init__(self):
         if self.fetch_mode != "pool":
             raise ValueError(f"fetch_mode must be 'pool', not {self.fetch_mode!r}")
+        if self.wave_k < 1:  # RunSet.cut needs a wave of at least one row
+            raise ValueError(f"wave_k must be at least 1, not {self.wave_k}")
 
 
 _PAGE_SLIM_COLS = [
@@ -349,23 +334,10 @@ def _fused_chunk(
     from ..stages.parse import document_row, image_row
 
     urls = chunk.column("url").to_pylist()
-    depths = (
-        chunk.column("depth").to_pylist()
-        if "depth" in chunk.column_names else [0] * len(urls)
-    )
-    attempts = (
-        chunk.column("attempts").to_pylist()
-        if "attempts" in chunk.column_names else [0] * len(urls)
-    )
-    anchors = (
-        chunk.column("anchor_text").to_pylist()
-        if "anchor_text" in chunk.column_names else [None] * len(urls)
-    )
-    hashes = (
-        chunk.column("url_hash").to_pylist()
-        if "url_hash" in chunk.column_names
-        else [url_hash64(u) for u in urls]
-    )
+    depths = chunk.column("depth").to_pylist()
+    attempts = chunk.column("attempts").to_pylist()
+    anchors = chunk.column("anchor_text").to_pylist()
+    hashes = chunk.column("url_hash").to_pylist()
 
     pcol: dict[str, list] = {c: [] for c in _PAGE_SLIM_COLS}
     if keep_content:
@@ -703,11 +675,11 @@ def _prefix_cut(runs: list[tuple], wave_k: int) -> tuple[pa.Table, tuple, list[i
 
 def _capped_cut(runs: list[tuple], wave_k: int, max_per_host: int, n_held: int) -> tuple:
     """The capped wave of the sorted ``runs``: ``(wave, its last key, ends,
-    carried)``. One stable sort of all runs' composites gives the global
+    remainder)``. One stable sort of all runs' composites gives the global
     order, and per-host ranks in that order (``_host_rank``) pick the
     first ``wave_k`` rows under the cap. A full wave ends the walk at its
     last row: run i (a run-file window when i >= ``n_held``) gives up its
-    first ``ends[i]`` rows and keeps the rest. ``carried`` is ONE sorted
+    first ``ends[i]`` rows and keeps the rest. ``remainder`` is ONE sorted
     run of every other row not in the wave: the rows the cap skipped and
     the rest of the first ``n_held`` runs, the rows held in memory."""
     tables, comps, hashes = zip(*runs)
@@ -922,7 +894,7 @@ class RunSet:
         windows = [f.window or f.read(self.window) for f in self.files]
         while True:
             if capped:
-                wave, last, ends, carried = _capped_cut(
+                wave, last, ends, remainder = _capped_cut(
                     held + windows, wave_k, max_per_host, len(held)
                 )
             else:
@@ -940,7 +912,7 @@ class RunSet:
                 windows[j] = self.files[j].read(max(2 * windows[j][0].num_rows, self.window))
         leftover = self._like()
         if capped:
-            leftover._append(*carried)
+            leftover._append(*remainder)
         else:
             for (t, c, h), end in zip(held, ends):
                 leftover._append(t.slice(end), c[end:], h[end:])
@@ -1108,59 +1080,31 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
 
     pending_writes: tuple[int, list, list] | None = None
     unflushed_refs: list = []
-    # split-wave pipelining is only sound when robots can't filter a
-    # dispatched row and the per-host cap can never bind (two sub-cuts of
-    # one wave would otherwise admit 2x cap per host)
-    pipelining = (
-        config.pipeline_waves
-        and not config.respect_robots
-        and config.max_per_host_per_wave >= config.wave_k
-    )
-    # rows already dispatched for the UPCOMING epoch: {"table", "refs",
-    # "n_chunks"}. Invariant: spec rows are cut OUT of `frontier` (no
-    # overlap), re-included in the wave at the next iteration's head and in
-    # any checkpoint taken while they are in flight.
-    spec_state: dict | None = None
-    while (frontier.count > 0 or spec_state is not None) and epoch < config.max_epochs:
-        spec_prev, spec_state = spec_state, None
-        spec_tbl = spec_prev["table"] if spec_prev else None
-        rest_k = config.wave_k - (spec_tbl.num_rows if spec_prev else 0)
-        if frontier.count == 0 or rest_k <= 0:
-            wave_rest, deferred = _empty_frontier(), frontier
-        else:
-            wave_rest, deferred = _wave_cut_driver(
-                frontier, rest_k, config.max_per_host_per_wave
-            )
+    while frontier.count > 0 and epoch < config.max_epochs:
+        wave, deferred = _wave_cut_driver(frontier, config.wave_k, config.max_per_host_per_wave)
         dropped = None
-        if config.respect_robots:  # mutually exclusive with pipelining
+        if config.respect_robots:
             # one call per owning politeness actor (robots.txt fetched
             # there): the allowed mask and Crawl-delay budgets out
             allowed, caps = politeness.screen(
-                wave_rest.column("host").to_pylist(),
-                wave_rest.column("url").to_pylist(),
+                wave.column("host").to_pylist(),
+                wave.column("url").to_pylist(),
             )
             # disallowed rows leave the crawl here: they are in neither
             # order nor frontier, so their keys are logged for the rebuild
-            dropped = wave_rest.filter(pa.array(~allowed)).select(["url_hash"])
-            wave_rest = wave_rest.filter(pa.array(allowed))
+            dropped = wave.filter(pa.array(~allowed)).select(["url_hash"])
+            wave = wave.filter(pa.array(allowed))
             # Crawl-delay hosts: keep the first budget_h rows (wave order
             # = priority order) and DEFER the overflow to the next wave —
             # a rate directive delays pages, it never drops them
             if any(c is not None for c in caps.values()):
                 # row i of host h survives iff its rank within h (wave
                 # order = priority order) is under h's Crawl-delay budget
-                keep = crawl_delay_keep(wave_rest.column("host"), caps)
+                keep = crawl_delay_keep(wave.column("host"), caps)
                 if not keep.all():
                     mask = pa.array(keep)
-                    deferred = deferred.with_extra(wave_rest.filter(pc.invert(mask)))
-                    wave_rest = wave_rest.filter(mask)
-        # the full wave = previously-speculated rows (already fetching in
-        # the worker mailboxes) ++ the freshly cut remainder
-        wave = (
-            pa.concat_tables([_as_frontier(t) for t in (spec_tbl, wave_rest)])
-            if spec_prev
-            else wave_rest
-        )
+                    deferred = deferred.with_extra(wave.filter(pc.invert(mask)))
+                    wave = wave.filter(mask)
         if wave.num_rows == 0:
             # everything admissible this wave was robots-filtered; advance
             # (no order table: the drop log rides with the next checkpoint)
@@ -1172,24 +1116,8 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
             epoch += 1
             continue
 
-        # ---- speculative cut for epoch k+1 (split-wave pipelining) -------
-        # cut the top of the deferred frontier NOW — its rows are known
-        # before this wave's results — and hand it to _fetch_wave to queue
-        # behind this wave's chunks.
-        next_spec: pa.Table | None = None
-        if pipelining and epoch + 1 < config.max_epochs and deferred.count > 0:
-            spec_k = min(
-                deferred.count, max(1, int(config.wave_k * _SPEC_WAVE_FRAC))
-            )
-            next_spec, deferred = _wave_cut_driver(
-                deferred, spec_k, config.max_per_host_per_wave
-            )
-
         # ---- fetch + parse + extract + dedup (distributed) ---------------
-        meta, spec_state = _fetch_wave(
-            wave_rest, config, fetch_pool, store, epoch,
-            carried=spec_prev, next_spec=next_spec,
-        )
+        meta = _fetch_wave(wave, config, fetch_pool, store, epoch)
         pages_fetched += meta["n_pages"]
         images_written += meta["n_images"]
         fresh_table = meta["fresh"]  # admitted by the workers
@@ -1243,21 +1171,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         }
         checkpoint = (epoch + 1) % config.checkpoint_interval == 0
         if checkpoint:
-            # a checkpoint taken while speculation is in flight must include
-            # the speculated rows — epoch+1 is incomplete, so a resume from
-            # this checkpoint re-fetches them (idempotent: their epoch+1
-            # partition files are rebuilt from scratch on re-run). The
-            # candidates those chunks already admitted are in no table of
-            # this checkpoint, so the seen set rebuilt from it lacks them
-            # and the re-fetch admits them again; a seen snapshot taken
-            # here would hold them and lose them for good. Their probes are
-            # not in the counters either: a chunk's checks join ``checks``
-            # only when the epoch that collects it does.
-            tables.update(
-                _checkpoint_frontier(
-                    store, epoch, frontier, spec_state["table"] if spec_state else None
-                )
-            )
+            tables.update(_checkpoint_frontier(store, epoch, frontier))
         unflushed_refs.append(store.write_async(epoch, tables))
         if checkpoint:
             pending_writes = (epoch, unflushed_refs, [checks, hits])
@@ -1342,41 +1256,35 @@ def _drop_log(dropped: pa.Table | None) -> dict:
     return {"dropped": dropped}
 
 
-def _checkpoint_frontier(
-    store: EpochStore, epoch: int, frontier: Frontier, spec: pa.Table | None = None
-) -> dict:
-    """Checkpoint the frontier plus ``spec``, the rows dispatched
-    speculatively for the next (incomplete) epoch, which a resume from this
-    checkpoint fetches again. The rows held in memory (and ``spec``) come
-    back as ``{"frontier": table}``, a write entry for the epoch's write
-    task. Each run file is hardlinked now, with its cursor, under
+def _checkpoint_frontier(store: EpochStore, epoch: int, frontier: Frontier) -> dict:
+    """Checkpoint the frontier: the rows held in memory come back as
+    ``{"frontier": table}``, a write entry for the epoch's write task.
+    Each run file is hardlinked now, with its cursor, under
     ``frontier_runs/epoch=E`` (``RunSet.link_files``): no row a run file
     holds is rewritten, and the link outlives the working file a later cut
     deletes."""
     frontier.runset.link_files(store.epoch_dir("frontier_runs", epoch))
-    held = [frontier.runset.to_table()] + ([spec] if spec is not None else [])
-    return {"frontier": pa.concat_tables([_as_frontier(t) for t in held])}
+    return {"frontier": _as_frontier(frontier.runset.to_table())}
 
 
-def _epoch_sink(store: EpochStore, epoch: int, clear: bool) -> dict:
-    """The epoch's pages/images/documents partition dirs; ``clear`` empties
-    them first (an epoch's part files are rebuilt from scratch on re-run)."""
+def _epoch_sink(store: EpochStore, epoch: int) -> dict:
+    """The epoch's pages/images/documents partition dirs, emptied first (an
+    epoch's part files are rebuilt from scratch on re-run)."""
     sink = {t: store.epoch_dir(t, epoch) for t in ("pages", "images", "documents")}
-    if clear:
-        for d in sink.values():
-            if os.path.exists(d):
-                shutil.rmtree(d)
+    for d in sink.values():
+        if os.path.exists(d):
+            shutil.rmtree(d)
     return sink
 
 
-def _n_chunks(rows: int, lo: int, hi: int) -> int:
+def _n_chunks(rows: int, slots: int) -> int:
     """Strided chunk count for ``rows`` rows: ≥4k rows per chunk (more
     chunks multiply the per-chunk seen-shard RPC rounds — a 2k floor
     measured +75% dedup RPC time at sf0.1 for ~equal idle), clamped to
-    ``[lo, hi]`` chunks, but never under 64 rows per chunk."""
+    ``[slots, 2 * slots]`` chunks, but never under 64 rows per chunk."""
     if rows == 0:
         return 0
-    return max(1, min(hi, max(lo, rows // 4096), -(-rows // 64)))
+    return max(1, min(2 * slots, max(slots, rows // 4096), -(-rows // 64)))
 
 
 def _fetch_wave(
@@ -1385,15 +1293,12 @@ def _fetch_wave(
     fetch_pool: list,
     store: EpochStore,
     epoch: int,
-    carried: dict | None = None,
-    next_spec: pa.Table | None = None,
-) -> tuple[dict, dict | None]:
-    """Fetch+parse+extract+admit one wave → (meta, spec_state). meta:
-    {fresh, failed, lineage_fetch, n_pages, n_images, n_candidates_raw,
-    n_checks}; ``n_checks`` sums the keys the collected chunks sent to the
-    seen shards, carried speculation included. A non-empty wave has at
+) -> dict:
+    """Fetch+parse+extract+admit one wave → {fresh, failed, lineage_fetch,
+    n_pages, n_images, n_candidates_raw, n_checks}; ``n_checks`` sums the
+    keys the chunks sent to the seen shards. A non-empty wave has at
     least one chunk, and a chunk writes one page per row, so ``n_pages``
-    is the wave's row count (carried rows included).
+    is the wave's row count.
 
     The wave is cut into strided chunks (i::n — cheap HTML rows and
     expensive image rows mix evenly), ~2 per fetch slot, each run by the
@@ -1403,46 +1308,19 @@ def _fetch_wave(
     mailbox holds up to two and finishing a chunk never waits a driver
     round-trip (worker idle was ~29 % of the fetch phase with depth-1
     dispatch, 28 workers). Chunks go out and their tables come back as
-    Arrow IPC (``to_wire``/``from_wire``).
-
-    Split-wave pipelining: ``carried`` is the speculation dispatched LAST
-    epoch — its rows are this wave's head, its refs are collected into
-    this wave's parts, and its chunks already own part ids
-    ``0..n_chunks-1`` of this epoch's sinks. ``next_spec`` rows are chunked
-    and queued behind this wave's chunks for the NEXT epoch; the returned
-    spec_state carries their table/refs forward."""
+    Arrow IPC (``to_wire``/``from_wire``)."""
     keep, n_parts, slots = config.keep_page_content, config.n_seen_shards, len(fetch_pool)
-
-    def submit(table: pa.Table, n: int, c: int, sink: dict, part_id: int):
-        """Queue chunk ``c`` of ``n`` (rows c, c+n, ...) on worker ``c %
-        slots``, encoded for the wire."""
-        chunk = to_wire(table.take(pa.array(range(c, table.num_rows, n))))
-        return fetch_pool[c % slots].process_chunk.remote(chunk, keep, sink, part_id, n_parts)
-
-    # with ``carried``, last epoch's speculative dispatch already emptied
-    # this epoch's dirs and its chunks are writing into them
-    sink = _epoch_sink(store, epoch, clear=carried is None)
-    part_offset = carried["n_chunks"] if carried else 0
+    sink = _epoch_sink(store, epoch)
     # at most two chunks per slot: all of them are dispatched at once
-    n_chunks = _n_chunks(wave.num_rows, slots, 2 * slots)
-    refs = [submit(wave, n_chunks, c, sink, part_offset + c) for c in range(n_chunks)]
-    spec_state = None
-    if next_spec is not None:
-        # queue next epoch's speculative chunks behind this wave's chunks
-        # in every worker's FIFO mailbox: a worker that drains its share of
-        # this wave rolls straight into epoch+1 work while the driver is
-        # still collecting results and doing end-of-epoch bookkeeping
-        spec_sink = _epoch_sink(store, epoch + 1, clear=True)
-        n_sp = _n_chunks(next_spec.num_rows, 1, slots)
-        spec_state = {
-            "table": next_spec,
-            "n_chunks": n_sp,
-            "refs": [submit(next_spec, n_sp, c, spec_sink, c) for c in range(n_sp)],
-        }
-    # speculation results for THIS wave's head rows come first (dispatched
-    # last epoch; FIFO per actor means they complete before this wave's
-    # later chunks on the same worker)
-    parts = ray.get((carried["refs"] if carried is not None else []) + refs)
+    n_chunks = _n_chunks(wave.num_rows, slots)
+    parts = ray.get([
+        # chunk c (rows c, c + n_chunks, ...) on worker c % slots
+        fetch_pool[c % slots].process_chunk.remote(
+            to_wire(wave.take(pa.array(range(c, wave.num_rows, n_chunks)))),
+            keep, sink, c, n_parts,
+        )
+        for c in range(n_chunks)
+    ])
 
     def tables(name: str) -> pa.Table:
         return pa.concat_tables([from_wire(p[name]) for p in parts])
@@ -1455,7 +1333,7 @@ def _fetch_wave(
         "n_images": sum(p["n_images"] for p in parts),
         "n_candidates_raw": sum(p["n_candidates_raw"] for p in parts),
         "n_checks": sum(p["n_checks"] for p in parts),
-    }, spec_state
+    }
 
 
 def _retry_rows(failed: pa.Table, wave: pa.Table, max_attempts: int) -> pa.Table:

@@ -137,7 +137,7 @@ def pagerank(
     (1-d)/n). Dangling mass (nodes with no out-links) is dropped, the
     plain power-iteration formulation the SQL oracle mirrors.
 
-    Ranks are carried as INTEGER fixed-point on the 2^-40 grid
+    Ranks are held as INTEGER fixed-point on the 2^-40 grid
     (``rank_q = floor(rank · 2^40 + 0.5)``): every per-edge contribution
     is quantized BEFORE the groupby-sum, so the distributed float
     summation is replaced by associative integer addition — bit-identical

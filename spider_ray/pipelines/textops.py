@@ -335,7 +335,7 @@ def chunk_documents(
     id_col: str = "doc_id",
 ):
     """RAG-style document chunking: overlapping token windows of
-    ``chunk_tokens`` with ``overlap`` carried over (stride =
+    ``chunk_tokens`` with ``overlap`` tokens repeated (stride =
     chunk_tokens - overlap), over the engine-wide [a-z0-9]+ lowercase
     vocabulary. Map-only (no exchange) — chunking is the canonical
     pre-embedding step of a retrieval corpus build. Output one row per

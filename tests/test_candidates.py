@@ -214,14 +214,6 @@ def test_mockweb_chunk_matches_the_per_link_loop(tmp_path, adapter):
     assert got.num_rows > 3 * web.n_pages
 
 
-def test_chunk_without_optional_columns_matches_the_per_link_loop(tmp_path):
-    web = MockWebConfig(n_pages=60, n_hosts=3)
-    chunk = pa.table({"url": [page_url(i, web) for i in range(web.n_pages)]})
-    _assert_same_candidates(
-        tmp_path, lambda: FetchStage(resolver=MockWeb(web), cache_enabled=False), chunk
-    )
-
-
 def test_link_pairs_are_the_links_hrefs_and_texts():
     for url, (_ctype, html) in _PAGES.items():
         assert extract_link_pairs(html, url) == [

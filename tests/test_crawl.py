@@ -276,100 +276,42 @@ def test_resume_with_checkpoint_interval(ray_session, tmp_path):
     assert ia.equals(ib)
 
 
-def test_pipelined_crawl_same_set_and_totals(ray_session, tmp_path):
-    """Split-wave pipelining (pipeline_waves=True) fetches the SAME page
-    set with the same totals as barrier mode — only the (epoch, seq)
-    assignment may shift (speculated rows head their wave). Also pinned:
-    pipelined runs are deterministic run-to-run."""
+def test_pipeline_waves_is_inert(ray_session, tmp_path):
+    """``pipeline_waves`` is an ignored field: on a crawl whose frontier
+    outgrows ``wave_k`` (a cut defers rows), setting it — alone and
+    with a spilled frontier (``driver_wave_threshold=0``: every row in run
+    files between cuts) — reproduces the default crawl's order and pages
+    exactly."""
     from dataclasses import replace
 
     cfg = MockWebConfig(n_pages=150, n_hosts=7, img_every=5)
-    seeds = seed_urls(cfg, every=30)
     base = CrawlConfig(
-        out_dir=str(tmp_path / "barrier"), seeds=seeds, web=cfg, wave_k=25,
-        exact_seen=True, fetch_concurrency=2, fetch_mode="pool",
+        out_dir=str(tmp_path / "default"), seeds=seed_urls(cfg, every=30), web=cfg,
+        wave_k=25, exact_seen=True, fetch_concurrency=2,
     )
-    barrier = run_crawl(base)
-    pipe_cfg = replace(base, out_dir=str(tmp_path / "pipe"), pipeline_waves=True)
-    piped = run_crawl(pipe_cfg)
-    a = EpochStore(base.out_dir).read_all("order")
-    b = EpochStore(pipe_cfg.out_dir).read_all("order")
-    assert set(a.column("url").to_pylist()) == set(b.column("url").to_pylist())
-    assert piped.pages_fetched == barrier.pages_fetched
-    assert piped.seen_size == barrier.seen_size
-    assert piped.images_written == barrier.images_written
-    pa_pages = EpochStore(base.out_dir).read_all("pages")
-    pb_pages = EpochStore(pipe_cfg.out_dir).read_all("pages")
-    # depth is excluded: discovery depth depends on which parent fetches
-    # first, which is order-dependent for ANY wave_k < frontier (barrier
-    # mode included); pipelining shifts order within that same class
-    cols = ["url", "status", "content_type"]
-    assert (
-        pa_pages.select(cols).sort_by("url").to_pydict()
-        == pb_pages.select(cols).sort_by("url").to_pydict()
-    )
-    # speculation actually engaged: some wave's head (speculated) rows break
-    # the global (priority desc, hash) order the barrier mode guarantees —
-    # or at minimum the epoch assignment diverged from barrier mode
-    def _violates_global_sort(order):
-        by_epoch = {}
-        for e, p, h in zip(
-            order.column("epoch").to_pylist(),
-            order.column("priority").to_pylist(),
-            order.column("url_hash").to_pylist(),
-        ):
-            by_epoch.setdefault(e, []).append((-p, h))
-        return any(keys != sorted(keys) for keys in by_epoch.values())
+    default = run_crawl(base)
 
-    assert _violates_global_sort(b) or a.to_pydict() != b.to_pydict()
-    # determinism: a second pipelined run reproduces the exact order
-    pipe2 = replace(base, out_dir=str(tmp_path / "pipe2"), pipeline_waves=True)
-    run_crawl(pipe2)
-    assert b.to_pydict() == EpochStore(pipe2.out_dir).read_all("order").to_pydict()
-    # a spilled frontier (every row in run files between cuts) speculates
-    # through the same cut: the same set and totals, and the same order
-    spilled_cfg = replace(pipe_cfg, out_dir=str(tmp_path / "spilled"), driver_wave_threshold=0)
-    spilled = run_crawl(spilled_cfg)
-    assert (spilled.pages_fetched, spilled.seen_size, spilled.images_written) == (
-        barrier.pages_fetched, barrier.seen_size, barrier.images_written
-    )
-    assert b.to_pydict() == EpochStore(spilled_cfg.out_dir).read_all("order").to_pydict()
+    def tables(out_dir):
+        store = EpochStore(out_dir)
+        # duration_ms is wall time
+        return store.read_all("order"), store.read_all("pages").drop_columns(["duration_ms"])
 
-
-def test_pipelined_resume_completes_universe(ray_session, tmp_path):
-    """Resume of an interrupted pipelined crawl: checkpoints taken while
-    speculation is in flight include the speculated rows
-    (_checkpoint_frontier's ``spec``), so the resumed crawl completes the
-    exact universe. Pipelined resume preserves the fetched SET and totals,
-    not (epoch, seq)."""
-    from dataclasses import replace
-
-    cfg = MockWebConfig(n_pages=150, n_hosts=7, img_every=5)
-    seeds = seed_urls(cfg, every=30)
-    full_cfg = CrawlConfig(
-        out_dir=str(tmp_path / "full"), seeds=seeds, web=cfg, wave_k=25,
-        exact_seen=True, fetch_concurrency=2, fetch_mode="pool",
-        pipeline_waves=True, checkpoint_interval=1,
-    )
-    full = run_crawl(full_cfg)
-    part_cfg = replace(full_cfg, out_dir=str(tmp_path / "part"), max_epochs=3)
-    run_crawl(part_cfg)
-    resumed = run_crawl(replace(part_cfg, max_epochs=64), resume=True)
-    a = EpochStore(full_cfg.out_dir).read_all("order")
-    b = EpochStore(part_cfg.out_dir).read_all("order")
-    assert set(a.column("url").to_pylist()) == set(b.column("url").to_pylist())
-    assert resumed.seen_size == full.seen_size
-    ia = EpochStore(full_cfg.out_dir).read_all("images")
-    ib = EpochStore(part_cfg.out_dir).read_all("images")
-    assert ia.sort_by("image_id").equals(ib.sort_by("image_id"))
+    want = tables(base.out_dir)
+    pipe = replace(base, out_dir=str(tmp_path / "pipe"), pipeline_waves=True)
+    spilled = replace(pipe, out_dir=str(tmp_path / "spilled"), driver_wave_threshold=0)
+    for cfg_ in (pipe, spilled):
+        result = run_crawl(cfg_)
+        got = tables(cfg_.out_dir)
+        assert got[0].equals(want[0]), cfg_.out_dir
+        assert got[1].equals(want[1]), cfg_.out_dir
+        assert result == replace(default, out_dir=cfg_.out_dir)
 
 
 def _truncate_to_checkpoint(out_dir: str, e: int) -> None:
     """Turn a finished crawl's store into the on-disk state of a crash
     right after checkpoint ``e``: every ``<table>/epoch=N`` with N > e is
     deleted, the manifest lists completed epochs <= e only and the crawl
-    is not done. Unlike a ``max_epochs`` stop, this can leave the
-    checkpoint with speculation in flight."""
+    is not done."""
     import json
     import os
     import shutil
@@ -390,53 +332,50 @@ def _truncate_to_checkpoint(out_dir: str, e: int) -> None:
         json.dump(manifest, f)
 
 
-def test_pipelined_resume_from_midrun_checkpoint(ray_session, tmp_path):
-    """Resume from a checkpoint taken while the next epoch's speculative
-    chunks had already admitted candidates. Those candidates are in no
-    table of that checkpoint; the resumed crawl re-fetches the speculated
-    rows and must admit them again, so it fetches exactly the
-    uninterrupted crawl's URLs."""
-    from dataclasses import replace
-
-    cfg = MockWebConfig(n_pages=150, n_hosts=7, img_every=5)
-    full_cfg = CrawlConfig(
-        out_dir=str(tmp_path / "full"), seeds=seed_urls(cfg, every=30), web=cfg,
-        wave_k=25, exact_seen=True, fetch_concurrency=2, fetch_mode="pool",
-        pipeline_waves=True, checkpoint_interval=1,
-    )
-    full = run_crawl(full_cfg)
-    crash_cfg = replace(full_cfg, out_dir=str(tmp_path / "crash"))
-    run_crawl(crash_cfg)
-    _truncate_to_checkpoint(crash_cfg.out_dir, 3)
-    resumed = run_crawl(crash_cfg, resume=True)
-    a = EpochStore(full_cfg.out_dir).read_all("order").column("url").to_pylist()
-    b = EpochStore(crash_cfg.out_dir).read_all("order").column("url").to_pylist()
-    assert sorted(b) == sorted(a), (len(a), len(b))
-    assert resumed.seen_size == full.seen_size
-
-
-def test_pipelined_resume_keeps_seen_counters(ray_session, tmp_path):
-    """Resumed after a crash at a checkpoint taken with speculation in
-    flight, the pipelined crawl reports the uninterrupted crawl's dedup
-    counters and seen size: the counters at a checkpoint hold only the
-    chunks collected by then, so the re-fetched speculation is counted
-    once."""
+@pytest.fixture(scope="module")
+def crashed_crawls(ray_session, tmp_path_factory):
+    """A crawl whose frontier outgrows ``wave_k``, run to the end, and two
+    copies of it crashed right after checkpoints 3 and 4 and resumed:
+    ``(full result, full order, {e: (resumed result, resumed order)})``."""
     import shutil
     from dataclasses import replace
 
+    tmp = tmp_path_factory.mktemp("crashed")
     cfg = MockWebConfig(n_pages=150, n_hosts=7, img_every=5)
     full_cfg = CrawlConfig(
-        out_dir=str(tmp_path / "full"), seeds=seed_urls(cfg, every=30), web=cfg,
-        wave_k=25, exact_seen=True, fetch_concurrency=2, fetch_mode="pool",
-        pipeline_waves=True, checkpoint_interval=1,
+        out_dir=str(tmp / "full"), seeds=seed_urls(cfg, every=30), web=cfg,
+        wave_k=25, exact_seen=True, fetch_concurrency=2, checkpoint_interval=1,
     )
     full = run_crawl(full_cfg)
+    resumed = {}
     for e in (3, 4):
-        crash_cfg = replace(full_cfg, out_dir=str(tmp_path / f"crash{e}"))
+        crash_cfg = replace(full_cfg, out_dir=str(tmp / f"crash{e}"))
         shutil.copytree(full_cfg.out_dir, crash_cfg.out_dir)
         _truncate_to_checkpoint(crash_cfg.out_dir, e)
-        resumed = run_crawl(crash_cfg, resume=True)
-        assert (resumed.dedup_checks, resumed.dedup_hits, resumed.seen_size) == (
+        resumed[e] = (
+            run_crawl(crash_cfg, resume=True),
+            EpochStore(crash_cfg.out_dir).read_all("order"),
+        )
+    return full, EpochStore(full_cfg.out_dir).read_all("order"), resumed
+
+
+def test_crash_resume_repeats_the_order(crashed_crawls):
+    """Resumed from a checkpoint in mid-crawl, the crawl repeats the
+    uninterrupted crawl's exact (epoch, seq, url) order and seen size."""
+    full, order, resumed = crashed_crawls
+    cols = ["epoch", "seq", "url"]
+    for e, (result, got) in resumed.items():
+        assert got.select(cols).equals(order.select(cols)), e
+        assert result.seen_size == full.seen_size, e
+
+
+def test_crash_resume_keeps_seen_counters(crashed_crawls):
+    """Resumed from a checkpoint in mid-crawl, the crawl reports the
+    uninterrupted crawl's dedup counters: they restart from the
+    checkpoint's manifest entry, so each check is counted once."""
+    full, _, resumed = crashed_crawls
+    for e, (result, _) in resumed.items():
+        assert (result.dedup_checks, result.dedup_hits, result.seen_size) == (
             full.dedup_checks, full.dedup_hits, full.seen_size,
         ), e
 

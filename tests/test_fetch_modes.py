@@ -55,6 +55,12 @@ def test_pool_is_the_default_and_unknown_modes_raise(tmp_path):
             CrawlConfig(out_dir=str(tmp_path), seeds=[], fetch_mode=mode)
 
 
+def test_wave_k_below_one_raises(tmp_path):
+    for wave_k in (0, -1):
+        with pytest.raises(ValueError, match="wave_k"):
+            CrawlConfig(out_dir=str(tmp_path), seeds=[], wave_k=wave_k)
+
+
 def test_default_mode_crawls_a_wave_the_pool_fills(ray_session, tmp_path):
     """A first wave of more than 20,000 rows (every page a seed) on a
     budget the pool fills: 3 one-CPU workers beside the state actors in

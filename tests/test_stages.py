@@ -1,5 +1,6 @@
 import pyarrow as pa
 
+from spider_ray.functions.urls import host_of, url_hash64
 from spider_ray.pipelines.crawl import _fused_chunk
 from spider_ray.schemas import FRONTIER_SCHEMA, IMAGES_SCHEMA, PAGES_SCHEMA
 from spider_ray.sources.fixtures import MockWebConfig, image_url, page_url
@@ -11,14 +12,21 @@ CFG = MockWebConfig(n_pages=100, n_hosts=7)
 
 
 def _wave(urls, anchors=None):
+    """``urls`` as a wave in ``FRONTIER_SCHEMA``, the form the crawl cuts."""
     n = len(urls)
     return pa.table(
         {
-            "url": pa.array(urls, pa.string()),
-            "depth": pa.array([0] * n, pa.int32()),
-            "attempts": pa.array([0] * n, pa.int32()),
-            "anchor_text": pa.array(anchors or [None] * n, pa.string()),
-        }
+            "url": urls,
+            "url_hash": pa.array([url_hash64(u) for u in urls], pa.uint64()),
+            "host": [host_of(u) for u in urls],
+            "priority": [priority_of(u) for u in urls],
+            "depth": [0] * n,
+            "discovered_at": pa.nulls(n),
+            "parent_url_hash": pa.nulls(n),
+            "attempts": [0] * n,
+            "anchor_text": anchors or [None] * n,
+        },
+        schema=FRONTIER_SCHEMA,
     )
 
 
