@@ -48,14 +48,15 @@ The FRONTIER has one form, as in an LSM tree (O'Neil et al., "The
 Log-Structured Merge-Tree", 1996): runs sorted by (priority desc,
 url_hash asc) (``RunSet``). Every row's sort key derives from its hash
 (``parse.priority_from_hash``), so runs merge by their prefixes. Fresh
-candidates sort into a new run; when the per-host cap cannot bind, a
-wave cut is zero-copy prefix slices + an exact boundary-tie merge, and
-when it binds, one sort of the runs' keys and one per-host rank pass
-(``_host_rank``). Beyond ``driver_wave_threshold`` held rows the runs
-spill to one immutable, sorted parquet run file with a cursor: a cut
-reads a window of about ``wave_k`` rows per file by row group, so the
-driver never holds the whole frontier, and a checkpoint writes the held
-rows plus a hardlink and cursor per run file.
+candidates sort into a new run, and every row is a ``FRONTIER_SCHEMA``
+row from birth. A wave cut is one walk of the global order: zero-copy
+prefix slices + an exact boundary-tie merge, ranked within their host
+(``_host_rank``) when the per-host cap can bind. Beyond
+``driver_wave_threshold`` held rows the runs spill to one immutable,
+sorted parquet run file with a cursor: a cut reads a window of about
+``wave_k`` rows per file by row group, so the driver never holds the
+whole frontier, and a checkpoint writes the held rows plus a hardlink
+and cursor per run file.
 
 The fetch workers write the pages/images/documents partition files
 themselves; the driver's control plane per wave is counters + fresh
@@ -211,6 +212,11 @@ _PAGE_SLIM_COLS = [
     "confidence", "duration_ms", "link_count", "interaction_count", "complete",
     "error",
 ]
+# the slim pages columns the row loop fills from each fetch
+_PAGE_FETCH_COLS = [
+    "final_url", "status", "content_type", "filename", "cache_hit", "confidence",
+    "duration_ms", "link_count", "interaction_count", "error",
+]
 
 
 class _ChunkWorker:
@@ -321,8 +327,10 @@ def _fused_chunk(
     Python, and Arrow tables are materialized exactly ONCE per chunk (the
     earlier micro-batch implementation built + concatenated + re-converted
     tables several times per chunk, which dominated the memory-bandwidth
-    budget at high worker counts). The row loop keeps each page's links
-    only as ``(href, text)`` pairs (``extract_link_pairs``, or the
+    budget at high worker counts). The row loop keeps only what each
+    fetch returns (``url``/``url_hash``/``host``/``depth`` are the chunk's
+    own columns, the constant columns are built once), and each page's
+    links only as ``(href, text)`` pairs (``extract_link_pairs``, or the
     resolver's own ``links``) with the page's row; ``_candidate_table``
     then builds the candidates in one pass over the chunk's distinct
     hrefs. ``admit`` filters the chunk's candidates through the seen set;
@@ -334,16 +342,11 @@ def _fused_chunk(
     from ..stages.parse import document_row, image_row
 
     urls = chunk.column("url").to_pylist()
-    depths = chunk.column("depth").to_pylist()
     attempts = chunk.column("attempts").to_pylist()
     anchors = chunk.column("anchor_text").to_pylist()
-    hashes = chunk.column("url_hash").to_pylist()
 
-    pcol: dict[str, list] = {c: [] for c in _PAGE_SLIM_COLS}
-    if keep_content:
-        pcol["content"] = []
-        pcol["body_bytes"] = []
-        pcol["downloads"] = []
+    content_cols = ["content", "body_bytes", "downloads"] if keep_content else []
+    pcol: dict[str, list] = {c: [] for c in _PAGE_FETCH_COLS + content_cols}
     # every raw link of the chunk (by row, then in document order) with
     # the row of its page; (row, position among that page's pairs) names
     # a candidate independently of the order chunks complete in
@@ -361,25 +364,15 @@ def _fused_chunk(
             links = [(link["href"], link.get("text")) for link in links]
         elif status < 400 and ctype and "html" in ctype and content:
             links = extract_link_pairs(content, r["final_url"])
-        pcol["url"].append(url)
         pcol["final_url"].append(r["final_url"])
-        pcol["url_hash"].append(hashes[i])
-        pcol["host"].append(host_of(url))
-        pcol["depth"].append(depths[i])
         pcol["status"].append(status)
         pcol["content_type"].append(ctype)
         pcol["filename"].append(r["filename"])
-        pcol["fetched_at"].append(_FIXED_EPOCH_MS)
         pcol["cache_hit"].append(r["cache_hit"])
-        pcol["strategy_type"].append(
-            "tree" if stage.adapter == "tree" else "basic"
-        )
-        pcol["strategy_spider"].append(stage.adapter)
         pcol["confidence"].append(stage._confidence(r))
         pcol["duration_ms"].append(int(r["duration_ms"]))
         pcol["link_count"].append(len(links) if links is not None else 0)
         pcol["interaction_count"].append(r["interactions"])
-        pcol["complete"].append(status < 400)
         pcol["error"].append(r["error"])
         if keep_content:
             pcol["content"].append(content)
@@ -399,12 +392,18 @@ def _fused_chunk(
         if doc is not None:
             doc_rows.append(doc)
 
-    slim_cols = list(_PAGE_SLIM_COLS) + (
-        ["content", "body_bytes", "downloads"] if keep_content else []
-    )
-    pages = pa.table(
-        {c: pa.array(pcol[c], PAGES_SCHEMA.field(c).type) for c in slim_cols}
-    )
+    cols = {c: pa.array(v, PAGES_SCHEMA.field(c).type) for c, v in pcol.items()}
+    for c in ("url", "url_hash", "host", "depth"):
+        cols[c] = chunk.column(c).combine_chunks()
+    n = len(urls)
+    for c, value in (
+        ("fetched_at", _FIXED_EPOCH_MS),
+        ("strategy_type", "tree" if stage.adapter == "tree" else "basic"),
+        ("strategy_spider", stage.adapter),
+    ):
+        cols[c] = pa.repeat(pa.scalar(value, PAGES_SCHEMA.field(c).type), n)
+    cols["complete"] = pc.less(cols["status"], 400)
+    pages = pa.table({c: cols[c] for c in _PAGE_SLIM_COLS + content_cols})
     images = (
         pa.Table.from_pylist(image_rows, schema=IMAGES_SCHEMA)
         if image_rows else IMAGES_SCHEMA.empty_table()
@@ -432,12 +431,12 @@ def _fused_chunk(
 
 
 def _candidate_table(pairs: list[tuple], rows: np.ndarray, pages: pa.Table) -> pa.Table:
-    """A chunk's candidates from its raw links: ``pairs[k]`` is the
-    ``(href, text)`` of a link on the page in row ``rows[k]`` of
-    ``pages``. Validity, canonical URL, ``url_hash64`` and host are
-    computed once per distinct href of the chunk; links with an invalid
-    href are dropped, and each kept link takes its depth (the page's + 1)
-    and ``parent_url_hash`` from its page's row."""
+    """A chunk's candidates, in ``FRONTIER_SCHEMA``, from its raw links:
+    ``pairs[k]`` is the ``(href, text)`` of a link on the page in row
+    ``rows[k]`` of ``pages``. Validity, canonical URL, ``url_hash64`` and
+    host are computed once per distinct href of the chunk; links with an
+    invalid href are dropped, and each kept link takes its depth (the
+    page's + 1) from its page's row."""
     slot: dict = {}
     href_slot = np.fromiter(
         (slot.setdefault(href, len(slot)) for href, _text in pairs),
@@ -467,11 +466,10 @@ def _candidate_table(pairs: list[tuple], rows: np.ndarray, pages: pa.Table) -> p
             "priority": pa.array(priority_from_hash(url_hash), pa.float64()),
             "depth": pc.add(pc.fill_null(pages.column("depth"), 0), pa.scalar(1, pa.int32()))
             .take(kept_rows).combine_chunks(),
-            "discovered_at": pa.nulls(n, pa.timestamp("ms")),
-            "parent_url_hash": pages.column("url_hash").take(kept_rows).combine_chunks(),
             "attempts": pa.array(np.zeros(n, dtype=np.int32)),
             "anchor_text": pa.array([pairs[k][1] for k in kept.tolist()], pa.string()),
-        }
+        },
+        schema=FRONTIER_SCHEMA,
     )
 
 
@@ -599,22 +597,11 @@ def frontier_from_seeds(seeds: list[str]) -> pa.Table:
             "host": pa.array([host_of(u) for u in urls], pa.string()),
             "priority": pa.array(priority_from_hash(hashes), pa.float64()),
             "depth": pa.array(np.zeros(n, dtype=np.int32)),
-            "discovered_at": pa.array([_FIXED_EPOCH_MS] * n, pa.timestamp("ms")),
-            "parent_url_hash": pa.nulls(n, pa.uint64()),
             "attempts": pa.array(np.zeros(n, dtype=np.int32)),
             "anchor_text": pa.nulls(n, pa.string()),
         },
         schema=FRONTIER_SCHEMA,
     )
-
-
-def _empty_frontier() -> pa.Table:
-    return FRONTIER_SCHEMA.empty_table()
-
-
-def _as_frontier(table: pa.Table) -> pa.Table:
-    """``table``'s frontier columns in ``FRONTIER_SCHEMA``."""
-    return table.select(FRONTIER_SCHEMA.names).cast(FRONTIER_SCHEMA)
 
 
 def crawl_delay_keep(hosts, caps: dict) -> np.ndarray:
@@ -638,17 +625,23 @@ def crawl_delay_keep(hosts, caps: dict) -> np.ndarray:
     return rank < budget[codes]
 
 
-def _prefix_cut(runs: list[tuple], wave_k: int) -> tuple[pa.Table, tuple, list[int]]:
-    """The first ``wave_k`` rows of the sorted ``runs`` ((table, composites,
-    hashes) each): ``(wave, its last key, ends)``, run i giving its first
-    ``ends[i]`` rows. The global threshold comes from an O(n) numpy
-    partition over the composites; the wave is zero-copy prefix slices
-    plus an exact hash-ordered boundary-tie selection."""
+def _prefix_cut(runs: list[tuple], n: int, wave_k: int, max_per_host: int) -> tuple:
+    """The wave among the first ``n`` rows (all, if fewer) of the sorted
+    ``runs`` ((table, composites, hashes) each): ``(wave, its last key,
+    ends, skipped)``. The wave is the first ``wave_k`` of those rows whose
+    rank within their host (``_host_rank``; a null host is the host
+    ``""``) is under ``max_per_host``. A full wave ends the walk at its
+    last row, a short one walks all ``n``: run i gives up its first
+    ``ends[i]`` rows, and ``skipped`` is ONE sorted run of the walked rows
+    the cap skipped. The global threshold comes from an O(n) numpy
+    partition over the composites, so the walk reads zero-copy run
+    prefixes plus an exact hash-ordered boundary-tie selection; when no
+    host can reach the cap among ``n`` rows the rank pass is skipped."""
     tables, comps, hashes = zip(*runs)
     all_comp = np.concatenate(comps)
-    wave_k = min(wave_k, len(all_comp))
-    kth = np.partition(all_comp, wave_k - 1)[wave_k - 1]
-    need = wave_k - int((all_comp < kth).sum())
+    n = min(n, len(all_comp))
+    kth = np.partition(all_comp, n - 1)[n - 1]
+    need = n - int((all_comp < kth).sum())
     # boundary ties: the composite==kth rows globally, by full hash; a
     # run's selected tie rows are a prefix of its (hash-sorted) tie range
     ends, tie_hashes, tie_runs = [], [], []
@@ -669,41 +662,24 @@ def _prefix_cut(runs: list[tuple], wave_k: int) -> tuple[pa.Table, tuple, list[i
     comp = np.concatenate([c[:end] for c, end in zip(comps, ends)])
     hs = np.concatenate([h[:end] for h, end in zip(hashes, ends)])
     order = _fix_composite_ties(np.argsort(comp, kind="stable"), comp, hs)
-    wave = pa.concat_tables([t.slice(0, end) for t, end in zip(tables, ends) if end])
-    return wave.take(pa.array(order)), (comp[order[-1]], hs[order[-1]]), ends
-
-
-def _capped_cut(runs: list[tuple], wave_k: int, max_per_host: int, n_held: int) -> tuple:
-    """The capped wave of the sorted ``runs``: ``(wave, its last key, ends,
-    remainder)``. One stable sort of all runs' composites gives the global
-    order, and per-host ranks in that order (``_host_rank``) pick the
-    first ``wave_k`` rows under the cap. A full wave ends the walk at its
-    last row: run i (a run-file window when i >= ``n_held``) gives up its
-    first ``ends[i]`` rows and keeps the rest. ``remainder`` is ONE sorted
-    run of every other row not in the wave: the rows the cap skipped and
-    the rest of the first ``n_held`` runs, the rows held in memory."""
-    tables, comps, hashes = zip(*runs)
-    comp = np.concatenate(comps)
-    hs = np.concatenate(hashes)
-    order = _fix_composite_ties(np.argsort(comp, kind="stable"), comp, hs)
-    table = pa.concat_tables(tables)
-    # the cap counts a null host as the host "" (one politeness key)
-    hosts = pc.fill_null(table.column("host"), "").combine_chunks()
-    rank, _, _ = _host_rank(hosts.take(pa.array(order)))
+    prefix = pa.concat_tables([t.slice(0, end) for t, end in zip(tables, ends) if end])
+    if max_per_host >= n:
+        rank = np.zeros(n, dtype=np.int64)
+    else:
+        hosts = pc.fill_null(prefix.column("host"), "").combine_chunks()
+        rank, _, _ = _host_rank(hosts.take(pa.array(order)))
     taken = np.flatnonzero(rank < max_per_host)[:wave_k]
-    take = np.zeros(len(order), dtype=bool)
-    take[taken] = True
-    walked = np.ones(len(order), dtype=bool)
-    if 0 < len(taken) == wave_k:
-        walked[taken[-1] + 1:] = False
-    owner = np.repeat(np.arange(len(tables)), [len(c) for c in comps])[order]
-    rest = order[~take & (walked | (owner < n_held))]
+    walked = taken[-1] + 1 if len(taken) == wave_k else n
+    if walked < n:
+        owner = np.repeat(np.arange(len(tables)), ends)
+        ends = np.bincount(owner[order[:walked]], minlength=len(tables)).tolist()
+    skipped = order[:walked][rank[:walked] >= max_per_host]
     last = (comp[order[taken[-1]]], hs[order[taken[-1]]]) if len(taken) else None
     return (
-        table.take(pa.array(order[take])),
+        prefix.take(pa.array(order[taken])),
         last,
-        np.bincount(owner[walked], minlength=len(tables)),
-        (table.take(pa.array(rest)), comp[rest], hs[rest]),
+        ends,
+        (prefix.take(pa.array(skipped)), comp[skipped], hs[skipped]),
     )
 
 
@@ -774,14 +750,14 @@ class RunSet:
     than ``MAX_RUNS`` files are merged into one by a Ray task.
 
     ``cut`` treats each file's window, about ``window`` rows from its
-    cursor, as one more run, and picks a wave in two ways, chosen by
-    whether the per-host cap can bind: a prefix of the global order that
-    touches O(wave_k) table rows (``_prefix_cut``), or one sort of all
-    runs' keys and a per-host rank pass (``_capped_cut``), the skipped
-    rows staying sorted as ONE run. The cut is exact while no row past a
-    window sorts before the wave's last row; until then, or while the
-    cap leaves the wave short, it loads larger windows and cuts again.
-    A file's rows past the cut stay in it (its cursor advances)."""
+    cursor, as one more run, and walks a prefix of the global order
+    (``_prefix_cut``): the first ``wave_k`` rows, ranked within their host
+    when the per-host cap can bind. If the cap leaves the wave short, it
+    walks every loaded row. The walked rows the cap skipped stay sorted as
+    ONE run; the rows past the walk stay where they were, as held suffix
+    slices or behind a file's cursor. The cut is exact while no row past
+    a window sorts before the wave's last row; until then, or while the
+    wave is short, it loads larger windows and cuts again."""
 
     MAX_RUNS = 48  # compaction threshold (amortized O(n log n) rare)
 
@@ -824,10 +800,6 @@ class RunSet:
         """Append an already-sorted run with its keys (none if empty)."""
         if table.num_rows == 0:
             return
-        if self.runs:
-            table = table.select(self._schema.names).cast(self._schema)
-        else:
-            self._schema = table.schema
         self.runs.append(table)
         self.comps.append(comp)
         self.hashes.append(hashes)
@@ -877,7 +849,7 @@ class RunSet:
     def to_table(self) -> pa.Table:
         """The rows held in memory."""
         if not self.runs:
-            return _empty_frontier()
+            return FRONTIER_SCHEMA.empty_table()
         return pa.concat_tables(self.runs)
 
     def cut(self, wave_k: int, max_per_host: int) -> tuple[pa.Table, "RunSet"]:
@@ -887,21 +859,19 @@ class RunSet:
         leftover RunSet."""
         total = self.count
         if total == 0:
-            return _empty_frontier(), self._like()
-        capped = max_per_host < total
-        want = min(wave_k, total)
+            return FRONTIER_SCHEMA.empty_table(), self._like()
+        n = want = min(wave_k, total)
         held = list(zip(self.runs, self.comps, self.hashes))
         windows = [f.window or f.read(self.window) for f in self.files]
         while True:
-            if capped:
-                wave, last, ends, remainder = _capped_cut(
-                    held + windows, wave_k, max_per_host, len(held)
-                )
-            else:
-                wave, last, ends = _prefix_cut(held + windows, want)
+            runs = held + windows
+            wave, last, ends, skipped = _prefix_cut(runs, n, wave_k, max_per_host)
+            short = wave.num_rows < want
+            if short and n < sum(len(c) for _, c, _ in runs):
+                n = total  # the cap left the wave short: walk every loaded row
+                continue
             # a window that is not the file's whole rest must not end
             # before the wave's last row: rows past it could sort earlier
-            short = wave.num_rows < want
             grow = [
                 j for j, (f, w) in enumerate(zip(self.files, windows))
                 if w[0].num_rows < f.remaining and (short or (w[1][-1], w[2][-1]) < last)
@@ -911,11 +881,9 @@ class RunSet:
             for j in grow:
                 windows[j] = self.files[j].read(max(2 * windows[j][0].num_rows, self.window))
         leftover = self._like()
-        if capped:
-            leftover._append(*remainder)
-        else:
-            for (t, c, h), end in zip(held, ends):
-                leftover._append(t.slice(end), c[end:], h[end:])
+        leftover._append(*skipped)
+        for (t, c, h), end in zip(held, ends):
+            leftover._append(t.slice(end), c[end:], h[end:])
         for f, w, end in zip(self.files, windows, ends[len(held):]):
             if (rest := f.advance(int(end), w, self.window)) is not None:
                 leftover.files.append(rest)
@@ -984,7 +952,7 @@ class Frontier:
         increment (fresh candidates, retries), sorted into a new run in
         place."""
         if extra.num_rows:
-            self.runset.add_table(_as_frontier(extra))
+            self.runset.add_table(extra)
         return self
 
 
@@ -1151,7 +1119,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
 
         # ---- fresh candidates + retries → next frontier -----------------
         frontier = deferred.with_extra(
-            pa.concat_tables([_as_frontier(t) for t in (fresh_table, retry_rows)])
+            pa.concat_tables([fresh_table, retry_rows])
         )
 
         # ---- lineage + checkpoint: ONE write task per epoch --------------
@@ -1264,7 +1232,7 @@ def _checkpoint_frontier(store: EpochStore, epoch: int, frontier: Frontier) -> d
     holds is rewritten, and the link outlives the working file a later cut
     deletes."""
     frontier.runset.link_files(store.epoch_dir("frontier_runs", epoch))
-    return {"frontier": _as_frontier(frontier.runset.to_table())}
+    return {"frontier": frontier.runset.to_table()}
 
 
 def _epoch_sink(store: EpochStore, epoch: int) -> dict:
@@ -1340,7 +1308,7 @@ def _retry_rows(failed: pa.Table, wave: pa.Table, max_attempts: int) -> pa.Table
     """Re-enqueue 5xx rows with attempts+1 (bounded) — failure is data, not
     an exception; the frontier is the retry queue (SURVEY.md §4)."""
     if failed.num_rows == 0:
-        return _empty_frontier()
+        return FRONTIER_SCHEMA.empty_table()
     in_failed = pc.is_in(
         wave.column("url_hash"),
         value_set=pc.unique(failed.column("url_hash").combine_chunks()),
@@ -1348,7 +1316,7 @@ def _retry_rows(failed: pa.Table, wave: pa.Table, max_attempts: int) -> pa.Table
     under = pc.less(pc.fill_null(wave.column("attempts"), 0), max_attempts)
     rows = wave.filter(pc.and_kleene(pc.fill_null(in_failed, False), under))
     if rows.num_rows == 0:
-        return _empty_frontier()
+        return FRONTIER_SCHEMA.empty_table()
     attempts = pc.add(rows.column("attempts"), 1).cast(pa.int32())
     return rows.set_column(
         rows.schema.get_field_index("attempts"), "attempts", attempts

@@ -36,8 +36,9 @@ DOWNLOAD_TYPE = pa.struct(
     ]
 )
 
-# Frontier — the URL priority queue as a table. Partition keys: url_hash
-# (seen-set shards) and host (politeness waves).
+# Frontier — the URL priority queue as a table, holding only the columns
+# the crawl reads. Partition keys: url_hash (seen-set shards) and host
+# (politeness waves).
 FRONTIER_SCHEMA = pa.schema(
     [
         pa.field("url", pa.string(), nullable=False),
@@ -45,8 +46,6 @@ FRONTIER_SCHEMA = pa.schema(
         pa.field("host", pa.string(), nullable=False),
         pa.field("priority", pa.float64(), nullable=False),
         pa.field("depth", pa.int32(), nullable=False),
-        pa.field("discovered_at", pa.timestamp("ms")),
-        pa.field("parent_url_hash", pa.uint64()),
         pa.field("attempts", pa.int32()),
         # text of the link that discovered this URL — becomes the caption
         # column for image rows (the reference's Link.text / DocumentResult

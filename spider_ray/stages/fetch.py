@@ -163,11 +163,8 @@ class FetchStage:
         adapter: str = "simple",
         cache_size: int = 4096,
         cache_enabled: bool = True,
-        max_redirects: int = 5,
-        simulated_latency_us: int = 0,
         custom_selectors: list[str] | None = None,
         resolver=None,
-        resolver_factory=None,
         cache_dir: str | None = None,
         cache_ttl_ms: int | None = None,
         cache_clock=None,
@@ -186,10 +183,6 @@ class FetchStage:
         # the network seam: anything with .resolve(url, attempts) →
         # MockResponse-shaped record. Default = hermetic MockWeb; pass
         # stages.http_fetch.HttpResolver for real HTTP (simple.ts parity).
-        # resolver_factory (a zero-arg callable) survives serialization into
-        # map_batches actor pools; the live resolver is built per actor.
-        if resolver is None and resolver_factory is not None:
-            resolver = resolver_factory()
         self.web = resolver if resolver is not None else MockWeb(
             web_config or MockWebConfig()
         )
@@ -197,8 +190,6 @@ class FetchStage:
         self.cache: OrderedDict[str, dict] = OrderedDict()
         self.cache_size = cache_size
         self.cache_enabled = cache_enabled
-        self.max_redirects = max_redirects
-        self.simulated_latency_us = simulated_latency_us
         # tree-scraper extension point; varies the cache key (tree.ts:110)
         self.custom_selectors = custom_selectors or []
         # request headers vary the cache key (index.spec.ts:120-146
@@ -328,8 +319,6 @@ class FetchStage:
                     row = dict(hit)
                     row["cache_hit"] = True
                     return row
-        if self.simulated_latency_us:
-            time.sleep(self.simulated_latency_us / 1e6)
         resp = self.web.resolve(url, attempts=attempts)
         self.fetches += 1
         # adapter-parity quirk: simple follows redirects and REWRITES the

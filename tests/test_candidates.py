@@ -16,6 +16,7 @@ import pytest
 from spider_ray.functions.links import extract_html_links, extract_link_pairs
 from spider_ray.functions.urls import canonicalize_url, host_of, is_valid_url, url_hash64
 from spider_ray.pipelines.crawl import _fused_chunk, frontier_from_seeds
+from spider_ray.schemas import FRONTIER_SCHEMA
 from spider_ray.sources.fixtures import MockResponse, MockWeb, MockWebConfig, image_url, page_url
 from spider_ray.stages.fetch import FetchStage
 from spider_ray.stages.parse import priority_from_hash
@@ -28,11 +29,7 @@ def _reference(stage: FetchStage, chunk: pa.Table) -> tuple[pa.Table, list[int]]
     cols = chunk.column_names
     depths = chunk.column("depth").to_pylist() if "depth" in cols else [0] * n_rows
     attempts = chunk.column("attempts").to_pylist() if "attempts" in cols else [0] * n_rows
-    hashes = (
-        chunk.column("url_hash").to_pylist() if "url_hash" in cols
-        else [url_hash64(u) for u in urls]
-    )
-    cand = {k: [] for k in ("url", "url_hash", "host", "depth", "parent_url_hash", "anchor_text")}
+    cand = {k: [] for k in ("url", "url_hash", "host", "depth", "anchor_text")}
     link_counts = []
     for i, url in enumerate(urls):
         r = stage._fetch_one(url, attempts[i] or 0)
@@ -50,7 +47,6 @@ def _reference(stage: FetchStage, chunk: pa.Table) -> tuple[pa.Table, list[int]]
             cand["url_hash"].append(url_hash64(canonical))
             cand["host"].append(host_of(canonical))
             cand["depth"].append((depths[i] or 0) + 1)
-            cand["parent_url_hash"].append(hashes[i])
             cand["anchor_text"].append(link.get("text"))
     n = len(cand["url"])
     keys = np.array(cand["url_hash"], dtype=np.uint64)
@@ -60,11 +56,9 @@ def _reference(stage: FetchStage, chunk: pa.Table) -> tuple[pa.Table, list[int]]
         "host": pa.array(cand["host"], pa.string()),
         "priority": pa.array(priority_from_hash(keys), pa.float64()),
         "depth": pa.array(cand["depth"], pa.int32()),
-        "discovered_at": pa.nulls(n, pa.timestamp("ms")),
-        "parent_url_hash": pa.array(cand["parent_url_hash"], pa.uint64()),
         "attempts": pa.array([0] * n, pa.int32()),
         "anchor_text": pa.array(cand["anchor_text"], pa.string()),
-    })
+    }, schema=FRONTIER_SCHEMA)
     return table, link_counts
 
 
@@ -166,7 +160,7 @@ def _hand_written_chunk() -> pa.Table:
     urls = list(_PAGES) + ["http://h1.test/missing", "ftp://h1.test/x"]
     chunk = frontier_from_seeds(urls)
     # depths other than the seeds' 0 (and a repeated page) make the
-    # depth/parent columns informative
+    # depth column informative
     chunk = pa.concat_tables([chunk, chunk.slice(0, 2)])
     return chunk.set_column(
         chunk.schema.get_field_index("depth"), "depth",

@@ -8,6 +8,7 @@ import pytest
 
 from spider_ray.functions.imagecodec import decode_image, psnr
 from spider_ray.pipelines.crawl import CrawlConfig, run_crawl
+from spider_ray.schemas import FRONTIER_SCHEMA
 from spider_ray.sources.fixtures import (
     MockWeb,
     MockWebConfig,
@@ -658,6 +659,24 @@ def test_lineage_metrics_recorded(small_crawl):
     # every epoch's hits are its checks that admitted nothing
     for row in dedup_rows.to_pylist():
         assert row["dedup_hits"] == row["dedup_checks"] - row["rows_out"], row
+
+
+def test_frontier_checkpoints_hold_only_frontier_columns(small_crawl):
+    """Every frontier checkpoint of a finished crawl is in
+    ``FRONTIER_SCHEMA``, which holds only the columns the crawl reads:
+    seeds, fresh candidates and the checkpoint writer all build the
+    frontier row in that one form."""
+    assert FRONTIER_SCHEMA.names == [
+        "url", "url_hash", "host", "priority", "depth", "attempts", "anchor_text",
+    ]
+    _, config, _ = small_crawl
+    store = EpochStore(config.out_dir)
+    epochs = store.epochs("frontier")
+    assert len(epochs) > 1
+    for e in epochs:
+        schema = store.read("frontier", e).schema
+        assert schema.names == FRONTIER_SCHEMA.names, (e, schema.names)
+        assert schema.equals(FRONTIER_SCHEMA), (e, schema)
 
 
 def test_lineage_table_matches_groupby_reference():

@@ -21,8 +21,6 @@ def _wave(urls, anchors=None):
             "host": [host_of(u) for u in urls],
             "priority": [priority_of(u) for u in urls],
             "depth": [0] * n,
-            "discovered_at": pa.nulls(n),
-            "parent_url_hash": pa.nulls(n),
             "attempts": [0] * n,
             "anchor_text": anchors or [None] * n,
         },

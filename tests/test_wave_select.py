@@ -156,13 +156,23 @@ def test_host_cap_vectorized_matches_sequential_reference():
             ),
         }
     )
-    for wave_k, cap in [(50, 3), (200, 10), (500, 2), (10, 1)]:
+    # (50, 10) is a full wave: 7 hosts x cap 10 >= 50; the others are short
+    for wave_k, cap in [(50, 3), (200, 10), (500, 2), (10, 1), (50, 10)]:
         for bounds in ([0, n], [0, 17, 260, n]):
             wave, leftover = runset_of(frontier, bounds).cut(wave_k, cap)
             expected, deferred = sequential_cut(frontier, wave_k, cap)
             assert wave.column("url").to_pylist() == _urls(frontier, expected), (wave_k, cap)
-            # the skipped rows stay in global order as one run
-            assert leftover.to_table().column("url").to_pylist() == _urls(frontier, deferred)
+            full = len(expected) == wave_k
+            assert full == ((wave_k, cap) == (50, 10))
+            if full:
+                # the rows past the walk stay in their runs
+                rest, _ = leftover.cut(n, n)
+                assert rest.column("url").to_pylist() == _urls(frontier, deferred)
+            else:
+                # a short wave walked every row: the skipped rows stay
+                # in global order as one run
+                assert leftover.to_table().column("url").to_pylist() == \
+                    _urls(frontier, deferred)
 
 
 def test_cut_orders_composite_collisions_by_full_hash():
