@@ -142,8 +142,8 @@ def run_bench() -> dict:
                 1 << 16, int(n_pages * 1.5) // max(8, ncpu // 2)
             ),
             # worker count == num_cpus (exact 4× between the 8- and 32-CPU
-            # scaling runs); fractional reservation leaves room for the seen
-            # shards / politeness / writer tasks alongside
+            # scaling runs); fractional reservation leaves room for the
+            # writer tasks alongside (the seen shards live in the workers)
             fetch_concurrency=ncpu,
             fetch_num_cpus=0.7,
             driver_wave_threshold=10_000_000,

@@ -18,8 +18,10 @@ fetch scheduler". Per wave (epoch):
    (``_fused_chunk``) on a ``_ChunkWorker``, which fetches (adapter
    parity, error rows), parses links, assembles
    candidates/documents/images, admits its own candidates into the sharded
-   bloom+cuckoo seen set (batched RPCs to hash-owned shard actors — no
-   all-to-all shuffle; this is the crawl's only admission path), and writes
+   bloom+cuckoo seen set (the shards live in the fetch workers: a direct
+   call for the worker's own shards, one batched RPC per peer for the
+   rest — no all-to-all shuffle; this is the crawl's only admission
+   path), and writes
    its own pages/images/documents partition files. Driver traffic per wave
    is O(new URLs), not O(fetched bytes): each chunk returns its fresh
    candidates, counters and the number of keys it sent to the shards.
@@ -66,14 +68,18 @@ primed two deep, so the end-of-wave barrier tail is one small chunk.
 Start-up is paid by every ``run_crawl``, so by every resume too. Three
 rules keep it off the first wave's critical path:
 
-- **Boot order.** The raylet starts fresh actor processes about two at a
-  time. The fetch pool is created first, so it boots in the first round;
-  the seen shards and (robots on only) the politeness actors follow, and
-  the shards reach the workers through one ``attach`` call queued ahead
-  of their first chunk.
+- **One boot round.** The raylet starts fresh actor processes about two
+  at a time, at about half a second each. The seen shards start no
+  process: fetch worker ``w`` of ``slots`` hosts the shards
+  ``s ≡ w (mod slots)``, born with their part of the seed keys (a fresh
+  set admits the seeds' first occurrences, found on the driver). So a
+  crawl starts one process per fetch slot, plus (robots on only) the
+  politeness actors, created right after the pool. The workers' seen
+  client arrives through one ``attach`` call queued ahead of their first
+  chunk; a resume loads the rebuilt keys into the workers before the
+  first wave, which waits on their boot anyway.
 - **Warm-up.** A fetch worker's constructor pays the chunk routine's
-  first-use imports, overlapping the state actors' boot instead of
-  delaying the first chunk.
+  first-use imports, so they do not delay the first chunk.
 - **Arrow IPC wire.** Every table the crawl sends through Ray goes as an
   Arrow IPC stream (``storage.to_wire``/``from_wire``): chunks, chunk
   results and write-task payloads. No crawl process uses Ray's
@@ -107,7 +113,7 @@ from ..sources.storage import WRITE_TASK_NUM_CPUS, EpochStore, from_wire, to_wir
 from ..stages.fetch import FetchStage
 from ..stages.parse import priority_from_hash
 from ..state.politeness import POLITENESS_NUM_CPUS, PolitenessPool
-from ..state.seen import SHARD_NUM_CPUS, ShardedSeen
+from ..state.seen import SeenHost, ShardedSeen
 
 _FIXED_EPOCH_MS = 1_700_000_000_000
 
@@ -222,8 +228,9 @@ _PAGE_FETCH_COLS = [
 class _ChunkWorker:
     """Worker-side state of the fused chunk routine: the stateful fetch
     stage (session/browser/cache — reference tears its browser down per
-    URL, browser-runner.ts:335-338), the seen-shard handles, an optional
-    bloom pre-filter and the depth limit.
+    URL, browser-runner.ts:335-338), this worker's seen shards (``host``)
+    and the crawl's seen client, an optional bloom pre-filter and the
+    depth limit.
 
     Each persistent ``FetchWorker`` actor holds one, reused across waves
     (Ray Data's ``map_batches`` would build a fresh actor pool per
@@ -231,13 +238,20 @@ class _ChunkWorker:
     document assembly, image decode) and the seen-set admission run here;
     the driver sees only counters + fresh candidates.
 
-    Start-up: ``run_crawl`` creates the pool before the seen shards, so
-    the shards reach a worker through ``attach``, queued ahead of its
-    first chunk (an actor's mailbox is FIFO). The constructor pays the
-    chunk routine's first-use imports while the state actors boot.
-    Tables cross Ray as Arrow IPC (``to_wire``): a chunk comes in encoded
-    and its fresh/failed/lineage tables go out encoded, so the worker
-    never loads Ray's ``pa.Table`` pickler.
+    Seen shards: the worker is the ``SeenHost`` of its share of the
+    set's hash partitions, born with their part of the seed keys. Its
+    ``check_and_add``/``probe``/``load``/``stats`` run in the ``"seen"``
+    concurrency group, so peers and the driver reach its shards while a
+    chunk runs; a chunk admits the keys of this worker's shards with a
+    direct call. The client over the whole pool reaches a worker through
+    ``attach``, queued ahead of its first chunk (an actor's mailbox is
+    FIFO per caller).
+
+    Start-up: the constructor pays the chunk routine's first-use imports,
+    so the first chunk imports nothing. Tables cross Ray as Arrow IPC
+    (``to_wire``): a chunk comes in encoded and its fresh/failed/lineage
+    tables go out encoded, so the worker never loads Ray's ``pa.Table``
+    pickler.
     """
 
     def __init__(
@@ -245,7 +259,8 @@ class _ChunkWorker:
         use_bloom: bool,
         max_depth: int | None,
         stage_kwargs: dict,
-        resolver_factory=None,
+        resolver_factory,
+        host_args: tuple,
     ):
         from ..state.bloom import BloomFilter
 
@@ -253,22 +268,39 @@ class _ChunkWorker:
             resolver=resolver_factory() if resolver_factory else None,
             **stage_kwargs,
         )
-        # worker-side admission: each worker probes the shared seen shards
-        # for its own chunk's candidates (north rule: bloom pre-filter lives
-        # in the fetch actors) — the driver never touches raw candidates
+        self.host = SeenHost(*host_args)
+        # worker-side admission: each worker admits its own chunk's
+        # candidates (north rule: bloom pre-filter lives in the fetch
+        # actors) — the driver never touches raw candidates
         self.seen: ShardedSeen | None = None
         self.bloom = BloomFilter(1 << 21, 0.001) if use_bloom else None
         self.max_depth = max_depth
-        # warm-up: pay the chunk routine's one first-use import here, while
-        # the state actors boot, not in the first chunk — pyarrow's lazy
-        # pandas shim imports pandas (~0.34 s) on the first pa.array of
-        # Python objects; the modules _fused_chunk imports are loaded
-        # with this one
+        # warm-up: pay the chunk routine's one first-use import here, not
+        # in the first chunk — pyarrow's lazy pandas shim imports pandas
+        # (~0.34 s) on the first pa.array of Python objects; the modules
+        # _fused_chunk imports are loaded with this one
         pa.array([0])
 
     def attach(self, seen: ShardedSeen) -> None:
-        """Hand over the crawl's seen shards (created after this worker)."""
-        self.seen = seen
+        """Hand over the crawl's seen client; the shards it routes to this
+        actor are served by ``host`` in-process."""
+        self.seen = ShardedSeen(seen.shards, self.host, ray.get_runtime_context().get_actor_id())
+
+    @ray.method(concurrency_group="seen")
+    def check_and_add(self, keys: np.ndarray) -> np.ndarray:
+        return self.host.check_and_add(keys)
+
+    @ray.method(concurrency_group="seen")
+    def probe(self, keys: np.ndarray) -> np.ndarray:
+        return self.host.probe(keys)
+
+    @ray.method(concurrency_group="seen")
+    def load(self, keys: np.ndarray) -> None:
+        self.host.load(keys)
+
+    @ray.method(concurrency_group="seen")
+    def stats(self) -> dict:
+        return self.host.stats()
 
     def process_chunk(
         self,
@@ -279,7 +311,7 @@ class _ChunkWorker:
         n_partitions: int,
     ) -> dict:
         """``_fused_chunk`` over ``from_wire(chunk)``, admitting through
-        this worker's seen handles; its tables return ``to_wire``-encoded,
+        this worker's seen client; its tables return ``to_wire``-encoded,
         and the result also carries ``n_checks``, the number of keys this
         chunk sent to the seen shards."""
         n_checks = 0
@@ -298,18 +330,28 @@ class _ChunkWorker:
         return out
 
 
-FetchWorker = ray.remote(_ChunkWorker)
+FetchWorker = ray.remote(concurrency_groups={"seen": 1})(_ChunkWorker)
 
 
-def _worker_args(config: CrawlConfig) -> tuple:
-    """Constructor args of ``_ChunkWorker`` for this crawl."""
+def _worker_args(
+    config: CrawlConfig, worker: int = 0, slots: int = 1, seed_keys: np.ndarray | None = None
+) -> tuple:
+    """Constructor args of ``_ChunkWorker`` ``worker`` of a ``slots``-worker
+    pool for this crawl: it hosts the seen shards ``s ≡ worker (mod
+    slots)``, loaded with the ``seed_keys`` they own."""
     stage_kwargs = {
         "web_config": config.web,
         "adapter": config.adapter,
         "cache_enabled": bool(config.fetch_cache_dir),
         "cache_dir": config.fetch_cache_dir,
     }
-    return (config.use_bloom, config.max_depth, stage_kwargs, config.resolver_factory)
+    n = config.n_seen_shards
+    if seed_keys is not None:
+        seed_keys = seed_keys[(seed_keys % np.uint64(n)) % np.uint64(slots) == worker]
+    host_args = (
+        range(worker, n, slots), n, config.seen_capacity_per_shard, config.exact_seen, seed_keys,
+    )
+    return (config.use_bloom, config.max_depth, stage_kwargs, config.resolver_factory, host_args)
 
 
 def _fused_chunk(
@@ -476,7 +518,8 @@ def _candidate_table(pairs: list[tuple], rows: np.ndarray, pages: pa.Table) -> p
 def _chunk_dedup(candidates: pa.Table, seen, bloom, max_depth) -> tuple[pa.Table, int]:
     """Worker-side seen-set admission for one chunk's candidates: optional
     per-worker bloom pre-filter (repeat duplicates skip the RPC), then one
-    batched check_and_add fan-out to the hash-owned shard actors. The
+    batched check_and_add fan-out to the hosts of the hash-owned shards
+    (this worker's own in-process). The
     admitted SET is order-independent (shard admission is exactly-once per
     key), so chunk completion order can't change the frontier. Returns the
     admitted candidates and the number of keys sent to the shards (the
@@ -587,8 +630,18 @@ def _host_rank(hosts: pa.Array) -> tuple[np.ndarray, np.ndarray, pa.Array]:
 # ---------------------------------------------------------------------------
 
 def frontier_from_seeds(seeds: list[str]) -> pa.Table:
+    return _seed_frontier(*_canonical_seeds(seeds))
+
+
+def _canonical_seeds(seeds: list[str]) -> tuple[list[str], np.ndarray]:
+    """The seeds' canonical URLs and their keys, built without Arrow (a
+    driver's first ``pa.array`` of strings imports pandas, ~0.25 s)."""
     urls = [canonicalize_url(url) for url in seeds]
-    hashes = np.array([url_hash64(u) for u in urls], dtype=np.uint64)
+    return urls, np.array([url_hash64(u) for u in urls], dtype=np.uint64)
+
+
+def _seed_frontier(urls: list[str], hashes: np.ndarray) -> pa.Table:
+    """Frontier rows of canonical seed ``urls`` with keys ``hashes``."""
     n = len(urls)
     return pa.table(
         {
@@ -753,7 +806,10 @@ class RunSet:
     cursor, as one more run, and walks a prefix of the global order
     (``_prefix_cut``): the first ``wave_k`` rows, ranked within their host
     when the per-host cap can bind. If the cap leaves the wave short, it
-    walks every loaded row. The walked rows the cap skipped stay sorted as
+    walks every loaded row, and so does the next cut from the leftover
+    (``walk_all``): the cap that bound once likely binds again, and a
+    walk of every loaded row gives the same wave as a shorter walk that
+    fills it. The walked rows the cap skipped stay sorted as
     ONE run; the rows past the walk stay where they were, as held suffix
     slices or behind a file's cursor. The cut is exact while no row past
     a window sorts before the wave's last row; until then, or while the
@@ -769,6 +825,7 @@ class RunSet:
         self.files: list[_RunFile] = []
         self.directory, self.threshold, self.window = directory, threshold, window
         self._names = itertools.count()  # run file names, shared with every leftover
+        self.walk_all = False  # the cut that left this set had a short wave
 
     def _like(self) -> "RunSet":
         """An empty RunSet with this one's settings and run-file names."""
@@ -860,7 +917,8 @@ class RunSet:
         total = self.count
         if total == 0:
             return FRONTIER_SCHEMA.empty_table(), self._like()
-        n = want = min(wave_k, total)
+        want = min(wave_k, total)
+        n = total if self.walk_all else want
         held = list(zip(self.runs, self.comps, self.hashes))
         windows = [f.window or f.read(self.window) for f in self.files]
         while True:
@@ -881,6 +939,7 @@ class RunSet:
             for j in grow:
                 windows[j] = self.files[j].read(max(2 * windows[j][0].num_rows, self.window))
         leftover = self._like()
+        leftover.walk_all = short
         leftover._append(*skipped)
         for (t, c, h), end in zip(held, ends):
             leftover._append(t.slice(end), c[end:], h[end:])
@@ -962,23 +1021,19 @@ class Frontier:
 
 def _fetch_slots(config: CrawlConfig, n_politeness: int) -> int:
     """Fetch pool actors that co-schedule with the crawl's own
-    reservations: the seen shards, the politeness actors and one
-    checkpoint-write task. A worker that cannot schedule would hang its
-    wave forever, so a budget with room for none raises instead."""
+    reservations: the politeness actors and one checkpoint-write task
+    (the seen shards live in the fetch workers). A worker that cannot
+    schedule would hang its wave forever, so a budget with room for none
+    raises instead."""
     avail = float(ray.cluster_resources().get("CPU", config.fetch_concurrency))
-    reserved = (
-        config.n_seen_shards * SHARD_NUM_CPUS
-        + n_politeness * POLITENESS_NUM_CPUS
-        + WRITE_TASK_NUM_CPUS
-    )
+    reserved = n_politeness * POLITENESS_NUM_CPUS + WRITE_TASK_NUM_CPUS
     per_worker = max(0.1, config.fetch_num_cpus)
     fit = int((avail - reserved) / per_worker + 1e-9)
     if fit < 1:
         raise ValueError(
-            f"crawl needs {reserved + per_worker:.2f} CPUs ({config.n_seen_shards} "
-            f"seen shards x {SHARD_NUM_CPUS}, {n_politeness} politeness actors x "
-            f"{POLITENESS_NUM_CPUS}, a {WRITE_TASK_NUM_CPUS}-CPU checkpoint write "
-            f"and one {per_worker}-CPU fetch worker) but the Ray cluster has "
+            f"crawl needs {reserved + per_worker:.2f} CPUs ({n_politeness} politeness "
+            f"actors x {POLITENESS_NUM_CPUS}, a {WRITE_TASK_NUM_CPUS}-CPU checkpoint "
+            f"write and one {per_worker}-CPU fetch worker) but the Ray cluster has "
             f"{avail:.2f}"
         )
     return max(1, min(config.fetch_concurrency, fit))
@@ -991,23 +1046,24 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     n_politeness = max(1, config.n_seen_shards // 2) if config.respect_robots else 0
     slots = _fetch_slots(config, n_politeness)  # raises before any actor starts
     store = EpochStore(config.out_dir)
-    worker_args = _worker_args(config)
-    # Boot order: the raylet starts actor processes about two at a time,
-    # so the fetch pool — the processes with the heaviest start-up, which
-    # the first wave waits on — is created first and boots in the first
-    # round, paying its warm-up while the seen shards and any politeness
-    # actors start.
+    resumed = resume and bool(store.manifest()["completed_epochs"])
+    seed_keys = None
+    if not resumed:
+        # a fresh seen set is empty: the seeds it admits are their first
+        # occurrences, and the workers' shards are born holding them
+        seed_urls, keys = _canonical_seeds(config.seeds)
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        checks, hits = len(keys), len(keys) - len(first)
+        seed_keys = keys[first]
+    # Boot: the fetch pool (which hosts the seen shards) is created first,
+    # the politeness actors right after it; the raylet starts actor
+    # processes about two at a time.
     fetch_pool = [
-        FetchWorker.options(num_cpus=config.fetch_num_cpus).remote(*worker_args)
-        for _ in range(slots)
+        FetchWorker.options(num_cpus=config.fetch_num_cpus).remote(
+            *_worker_args(config, w, slots, seed_keys)
+        )
+        for w in range(slots)
     ]
-    seen = ShardedSeen.create(
-        n_shards=config.n_seen_shards,
-        capacity_per_shard=config.seen_capacity_per_shard,
-        exact=config.exact_seen,
-    )
-    for worker in fetch_pool:
-        worker.attach.remote(seen)  # FIFO mailbox: runs before any chunk
     politeness = PolitenessPool.create(
         n_actors=n_politeness,
         budget_per_wave=config.max_per_host_per_wave,
@@ -1016,15 +1072,17 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         resolver_factory=config.resolver_factory,
         web_config=config.web,
     )
+    seen = ShardedSeen([fetch_pool[s % slots] for s in range(config.n_seen_shards)])
+    for worker in fetch_pool:
+        worker.attach.remote(seen)  # FIFO mailbox: runs before any chunk
 
     start_epoch = 0
-    manifest = store.manifest()
     # the frontier's working run files; a resume takes its own over from
     # the checkpoint's hardlinks, so any left here are stale
     runs_dir = os.path.join(config.out_dir, "runs")
     shutil.rmtree(runs_dir, ignore_errors=True)
     frontier = Frontier(RunSet(runs_dir, config.driver_wave_threshold, config.wave_k))
-    if resume and manifest["completed_epochs"]:
+    if resumed:
         last = store.last_epoch()
         table = store.read("frontier", last)
         frontier.runset.adopt(store.epoch_dir("frontier_runs", last))
@@ -1036,11 +1094,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         checks, hits = store.seen_counters(last)
         start_epoch = last + 1
     else:
-        seed_table = frontier_from_seeds(config.seeds)
-        seed_keys = seed_table.column("url_hash").to_numpy().astype(np.uint64)
-        unseen = seen.check_and_add(seed_keys)
-        checks, hits = len(seed_keys), len(seed_keys) - int(unseen.sum())
-        frontier.runset.add_table(seed_table.filter(pa.array(unseen)))
+        frontier.runset.add_table(_seed_frontier([seed_urls[i] for i in first], seed_keys))
 
     pages_fetched = 0
     images_written = 0
@@ -1170,7 +1224,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     # out-of-scope handles: the pool alone reserves fetch_concurrency ×
     # fetch_num_cpus CPUs, which would starve whatever the caller runs next
     # (the bench's query suite measured ~2× slower behind a lingering pool).
-    for actor in [*fetch_pool, *seen.shards, *politeness.actors]:
+    for actor in [*fetch_pool, *politeness.actors]:
         ray.kill(actor, no_restart=True)
     return CrawlResult(
         out_dir=config.out_dir,

@@ -1,4 +1,4 @@
-"""Sharded URL-seen set: named actors, each holding one membership structure.
+"""Sharded URL-seen set: hash partitions, each holding one membership structure.
 
 This is the engine's central dedup structure (north rule: "sharded
 cuckoo-filter URL-seen set (with bloom pre-filter) keyed by
@@ -7,17 +7,26 @@ page-scope `Set<string>` dedup (src/shared/links.ts:20-35) → a global,
 sharded membership set.
 
 Design (SURVEY.md §4):
-- ``n_shards`` actors, shard = ``url_hash % n_shards``; each actor holds
-  membership only: a CuckooFilter or, in conformance mode, an exact
+- ``n_shards`` hash partitions, shard = ``url_hash % n_shards``; each
+  holds membership only: a CuckooFilter or, in conformance mode, an exact
   uint64 set alone (the "exact-dedup oracle path for tests" — cuckoo FPs
   would otherwise be able to drop a URL wrongly at small probability).
   The bloom pre-filter lives in the fetch workers, not here.
+- Where the shards live: a ``SeenHost`` holds the shards one process owns.
+  The crawl hosts its shards in its fetch workers (worker ``w`` of
+  ``slots`` owns the shards ``s ≡ w (mod slots)``), so it starts no
+  process for them and a chunk admits its own worker's keys in-process —
+  the partitioned-state layout of "Distributed Streaming Set Similarity
+  Join" (ICDE 2020), where each partition's state sits with the worker
+  that probes it. Standalone ``SeenShardActor``s, one shard each, serve
+  ``ShardedSeen.create`` (``pipelines/dedup.py``). One client
+  (``ShardedSeen``) routes both.
 - Probes are *batched RPCs*, not a Dataset shuffle: a fetch/dedup stage
-  splits a batch's hashes by shard with one vectorized pass and issues the
-  shard calls concurrently. At 10^10 URLs this costs O(batch) network
+  splits a batch's hashes by host with one vectorized pass and issues the
+  host calls concurrently. At 10^10 URLs this costs O(batch) network
   messages per batch instead of an all-to-all exchange per wave.
-- ``check_and_add`` is atomic per shard (actor serializes calls), giving
-  exactly-once admission to the frontier.
+- ``check_and_add`` is atomic per shard (a host serializes its calls
+  under one lock), giving exactly-once admission to the frontier.
 - Counting: the shards count nothing. The crawl's dedup checks are the
   keys each chunk sends to the shards, and its hits are those checks
   less the keys admitted; the driver sums them and records the totals in
@@ -27,13 +36,15 @@ Design (SURVEY.md §4):
   ``order``, not yet fetched → ``frontier``, robots-filtered →
   ``dropped``), so a resume bulk-``load``s those url_hashes into fresh
   shards. ``load`` is replay-idempotent (re-adding a present key is a
-  no-op). ``snapshot()``/``restore()`` (the shard's membership structure,
-  as schemas.SEEN_SCHEMA rows) remain as library code.
+  no-op). ``snapshot()``/``restore()`` (a shard's membership structure,
+  as schemas.SEEN_SCHEMA rows) remain as library code for standalone
+  shard actors.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 
 import numpy as np
 import ray
@@ -128,42 +139,101 @@ class SeenShardState:
 SHARD_NUM_CPUS = 0.1
 
 
-@ray.remote(num_cpus=SHARD_NUM_CPUS)
-class SeenShardActor:
-    """One shard of the URL-seen set."""
+class SeenHost:
+    """The seen shards one process owns: ``{shard: SeenShardState}`` for
+    ``shards`` of the set's ``n_shards`` hash partitions. Each method takes
+    keys of its own shards only (``key % n_shards``), splits them by shard
+    and runs under ``lock``, so the thread that runs a host's chunks and
+    the thread that serves its peers may admit at the same time.
+    ``keys`` (optional) are loaded at once: a shard born with its part of
+    the seed set."""
 
-    def __init__(self, capacity: int, exact: bool):
-        self.state = SeenShardState(capacity, exact)
+    def __init__(self, shards, n_shards: int, capacity: int, exact: bool, keys=None):
+        self.n_shards = n_shards
+        self.states = {int(s): SeenShardState(capacity, exact) for s in shards}
+        self.lock = threading.Lock()
+        if keys is not None:
+            self.load(keys)
+
+    def _each(self, method: str, keys: np.ndarray) -> np.ndarray:
+        keys = np.asarray(keys, dtype=np.uint64)
+        out = np.zeros(len(keys), dtype=bool)
+        shard_ids = keys % np.uint64(self.n_shards)
+        with self.lock:
+            for s, state in self.states.items():
+                mine = shard_ids == s
+                if mine.any():
+                    out[mine] = getattr(state, method)(keys[mine])
+        return out
 
     def check_and_add(self, keys: np.ndarray) -> np.ndarray:
-        return self.state.check_and_add(keys)
+        return self._each("check_and_add", keys)
 
     def probe(self, keys: np.ndarray) -> np.ndarray:
-        return self.state.probe(keys)
+        return self._each("probe", keys)
 
     def load(self, keys: np.ndarray) -> None:
-        self.state.load(keys)
-
-    def snapshot(self) -> bytes:
-        return self.state.snapshot()
-
-    def restore(self, data: bytes) -> None:
-        self.state = SeenShardState.from_snapshot(data)
+        keys = np.asarray(keys, dtype=np.uint64)
+        shard_ids = keys % np.uint64(self.n_shards)
+        with self.lock:
+            for s, state in self.states.items():
+                state.load(keys[shard_ids == s])
 
     def stats(self) -> dict:
-        return self.state.stats()
+        with self.lock:
+            return {"n_items": sum(st.stats()["n_items"] for st in self.states.values())}
+
+    def snapshot(self, shard: int) -> tuple[bytes, int]:
+        """Shard ``shard``'s snapshot and its item count."""
+        with self.lock:
+            state = self.states[shard % self.n_shards]
+            return state.snapshot(), state.stats()["n_items"]
+
+    def restore(self, shard: int, data: bytes) -> None:
+        with self.lock:
+            self.states[shard % self.n_shards] = SeenShardState.from_snapshot(data)
+
+
+@ray.remote(num_cpus=SHARD_NUM_CPUS)
+class SeenShardActor(SeenHost):
+    """A standalone one-shard host: ``ShardedSeen`` routes it the keys of
+    its shard only, so it keeps them in one partition of one."""
+
+    def __init__(self, capacity: int, exact: bool):
+        super().__init__([0], 1, capacity, exact)
 
 
 class ShardedSeen:
-    """Driver/stage-side client for the shard actors.
+    """Client of the set: ``shards[s]`` is the handle of the host that owns
+    shard ``s`` (a standalone ``SeenShardActor``, or a crawl's fetch worker,
+    which hosts several). A host's calls carry the keys of all its shards
+    at once.
 
-    Serializable: holds only actor handles, so a fetch/dedup stage can keep
-    one in actor ``__init__`` and batch-probe from inside ``map_batches``.
+    ``local`` is the ``SeenHost`` of the process this client lives in,
+    whose shards are those ``shards`` points at actor ``local_id``: their
+    keys never leave the process. The client pickles without it (only the
+    handles travel), so a fetch/dedup stage can keep one in its actor and
+    batch-probe from inside ``map_batches``.
     """
 
-    def __init__(self, shards: list):
+    def __init__(self, shards: list, local: SeenHost | None = None, local_id: str | None = None):
         self.shards = shards
         self.n_shards = len(shards)
+        self.local = local
+        # shard -> index into self.hosts, or -1 for the local host's shards
+        hosts: dict = {}
+        owner = []
+        for handle in shards:
+            actor_id = handle._actor_id.hex()
+            if local is not None and actor_id == local_id:
+                owner.append(-1)
+            else:
+                owner.append(hosts.setdefault(actor_id, (len(hosts), handle))[0])
+        self.hosts = [handle for _, handle in hosts.values()]
+        self._owner = np.array(owner, dtype=np.int64)
+
+    def __reduce__(self):
+        return (ShardedSeen, (self.shards,))
 
     @classmethod
     def create(
@@ -177,24 +247,27 @@ class ShardedSeen:
         )
 
     def _split(self, keys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each key's host (-1: local) and the keys of each remote host."""
         keys = np.asarray(keys, dtype=np.uint64)
-        shard_ids = (keys % np.uint64(self.n_shards)).astype(np.int64)
-        return shard_ids, [keys[shard_ids == s] for s in range(self.n_shards)]
+        host_ids = self._owner[(keys % np.uint64(self.n_shards)).astype(np.int64)]
+        return host_ids, [keys[host_ids == h] for h in range(len(self.hosts))]
 
     def _scatter(self, method: str, keys: np.ndarray) -> np.ndarray:
-        """Call ``method`` on each shard with the keys it owns, all shards
-        at once, and gather their masks back into input order."""
+        """Call ``method`` on each host with the keys its shards own: one
+        RPC per remote host, all at once, then the local host directly
+        while they run; gather the masks back into input order."""
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.zeros(len(keys), dtype=bool)
         if len(keys) == 0:
             return out
-        shard_ids, parts = self._split(keys)
-        owners = [s for s in range(self.n_shards) if len(parts[s])]
-        masks = ray.get(
-            [getattr(self.shards[s], method).remote(parts[s]) for s in owners]
-        )
-        for s, mask in zip(owners, masks):
-            out[shard_ids == s] = mask
+        host_ids, parts = self._split(keys)
+        owners = [h for h, part in enumerate(parts) if len(part)]
+        refs = [getattr(self.hosts[h], method).remote(parts[h]) for h in owners]
+        mine = host_ids == -1
+        if mine.any():
+            out[mine] = getattr(self.local, method)(keys[mine])
+        for h, mask in zip(owners, ray.get(refs)):
+            out[host_ids == h] = mask
         return out
 
     def check_and_add(self, keys: np.ndarray) -> np.ndarray:
@@ -206,32 +279,28 @@ class ShardedSeen:
 
     def load(self, batches) -> None:
         """Bulk-load key batches into the shards; no mask comes back.
-        Every call is submitted asynchronously (one per shard per batch,
-        FIFO per shard) and awaited once at the end, so the driver holds
-        one batch at a time."""
+        Every remote call is submitted asynchronously (one per host per
+        batch, FIFO per host) and awaited once at the end, so the caller
+        holds one batch at a time."""
         refs = []
         for keys in batches:
-            _, parts = self._split(keys)
-            refs += [
-                self.shards[s].load.remote(parts[s])
-                for s in range(self.n_shards)
-                if len(parts[s])
-            ]
+            keys = np.asarray(keys, dtype=np.uint64)
+            host_ids, parts = self._split(keys)
+            refs += [h.load.remote(part) for h, part in zip(self.hosts, parts) if len(part)]
+            if self.local is not None:
+                self.local.load(keys[host_ids == -1])
         ray.get(refs)
 
     def snapshot_table(self):
         """Seen-set checkpoint as an Arrow table (schemas.SEEN_SCHEMA)."""
         import pyarrow as pa
 
-        blobs = ray.get([s.snapshot.remote() for s in self.shards])
-        stats = ray.get([s.stats.remote() for s in self.shards])
+        snaps = ray.get([h.snapshot.remote(s) for s, h in enumerate(self.shards)])
         return pa.table(
             {
                 "shard_id": pa.array(range(self.n_shards), pa.int32()),
-                "filter_bytes": pa.array(blobs, pa.large_binary()),
-                "n_items": pa.array(
-                    [st["n_items"] for st in stats], pa.int64()
-                ),
+                "filter_bytes": pa.array([blob for blob, _ in snaps], pa.large_binary()),
+                "n_items": pa.array([n for _, n in snaps], pa.int64()),
             }
         )
 
@@ -239,10 +308,13 @@ class ShardedSeen:
         ids = table.column("shard_id").to_pylist()
         blobs = table.column("filter_bytes").to_pylist()
         ray.get(
-            [self.shards[i].restore.remote(b) for i, b in zip(ids, blobs)]
+            [self.shards[i].restore.remote(i, b) for i, b in zip(ids, blobs)]
         )
 
     def stats(self) -> dict:
-        """Totals over the shards."""
-        per = ray.get([s.stats.remote() for s in self.shards])
+        """Totals over the shards: each host is asked once, however many
+        shards it owns."""
+        per = ray.get([h.stats.remote() for h in self.hosts])
+        if self.local is not None:
+            per.append(self.local.stats())
         return {"n_items": sum(p["n_items"] for p in per)}

@@ -84,6 +84,24 @@ def test_crawl_matches_bfs_closure(small_crawl):
     assert result.seen_size == len(oracle)
 
 
+def test_crawl_over_unevenly_hosted_shards_matches_bfs_closure(ray_session, tmp_path):
+    """Three seen shards on two fetch workers (worker 0 hosts shards 0
+    and 2): the crawl equals the BFS closure, and ``seen_size`` counts
+    each admitted key once — a host asked once per shard it owns would
+    count worker 0's keys twice."""
+    cfg = MockWebConfig(n_pages=150, n_hosts=7, img_every=5)
+    config = CrawlConfig(
+        out_dir=str(tmp_path), seeds=seed_urls(cfg, every=30), web=cfg,
+        wave_k=10_000, exact_seen=True, n_seen_shards=3, fetch_concurrency=2,
+    )
+    result = run_crawl(config)
+    order = EpochStore(config.out_dir).read_all("order")
+    fetched = dict(zip(order.column("url").to_pylist(), order.column("epoch").to_pylist()))
+    assert fetched == bfs_oracle(cfg, seeds_every=30)
+    admitted = result.dedup_checks - result.dedup_hits
+    assert result.seen_size == admitted == len(set(order.column("url_hash").to_pylist()))
+
+
 def test_crawl_order_fully_deterministic(small_crawl, tmp_path):
     cfg, config, _ = small_crawl
     from dataclasses import replace

@@ -133,12 +133,12 @@ def test_spilled_frontier_resumes_from_an_early_checkpoint(ray_session, tmp_path
 
 
 def test_cpu_budget_without_room_for_a_worker_raises(ray_session, tmp_path):
-    """4 seen shards (0.4) + a checkpoint write (0.25) + one 3.5-CPU fetch
-    worker exceed the session's 4 CPUs (a robots-off crawl starts no
-    politeness actor): the crawl must refuse before starting any actor
-    instead of waiting forever."""
-    config = _base(tmp_path, "too_big", fetch_num_cpus=3.5)
-    with pytest.raises(ValueError, match=r"needs 4\.15 CPUs .* has 4\.00"):
+    """A checkpoint write (0.25) + one 3.8-CPU fetch worker exceed the
+    session's 4 CPUs (the seen shards live in the fetch workers, and a
+    robots-off crawl starts no politeness actor): the crawl must refuse
+    before starting any actor instead of waiting forever."""
+    config = _base(tmp_path, "too_big", fetch_num_cpus=3.8)
+    with pytest.raises(ValueError, match=r"needs 4\.05 CPUs .* has 4\.00"):
         run_crawl(config)
     assert not os.path.exists(config.out_dir)
 
@@ -152,8 +152,11 @@ def test_fetch_slots_count_every_reservation(monkeypatch):
         fetch_concurrency=1,
     )
     assert crawl._fetch_slots(cfg, n_politeness=1) == 1
-    # (2 - 2 x 0.1 - 0.1 - 0.25) / 0.5 = 2.9 workers fit
-    assert crawl._fetch_slots(replace(cfg, fetch_concurrency=8), n_politeness=1) == 2
+    # (2 - 0.1 - 0.25) / 0.5 = 3.3 workers fit: the shards reserve nothing
+    assert crawl._fetch_slots(replace(cfg, fetch_concurrency=8), n_politeness=1) == 3
+    # 1.0 CPU fits one 0.5-CPU worker beside a politeness actor and a write
     monkeypatch.setattr(crawl.ray, "cluster_resources", lambda: {"CPU": 1.0})
-    with pytest.raises(ValueError, match="needs 1.05 CPUs"):
+    assert crawl._fetch_slots(replace(cfg, fetch_concurrency=8), n_politeness=1) == 1
+    monkeypatch.setattr(crawl.ray, "cluster_resources", lambda: {"CPU": 0.8})
+    with pytest.raises(ValueError, match="needs 0.85 CPUs"):
         crawl._fetch_slots(cfg, n_politeness=1)

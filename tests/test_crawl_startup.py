@@ -1,6 +1,7 @@
-"""Crawl start-up: the fetch pool boots before the state actors, a fresh
-fetch worker's first chunk imports nothing, and crawl tables cross Ray as
-Arrow IPC (``to_wire``/``from_wire``) with their exact schema."""
+"""Crawl start-up: the fetch pool hosts the seen shards and boots before
+the politeness actors, a fresh fetch worker's first chunk imports
+nothing, and crawl tables cross Ray as Arrow IPC
+(``to_wire``/``from_wire``) with their exact schema."""
 
 import sys
 from dataclasses import replace
@@ -42,10 +43,10 @@ class _Recording:
 
 
 def test_fetch_pool_is_submitted_before_the_state_actors(ray_session, tmp_path, monkeypatch):
-    """The raylet boots actor processes a couple at a time, so the fetch
-    workers (the heaviest start-up, which the first wave waits on) are
-    asked for first, and the seen shards and politeness actors after. A
-    robots-off crawl starts no politeness actor."""
+    """The raylet boots actor processes a couple at a time, so a crawl
+    starts as few as it can: the fetch workers host the seen shards (no
+    ``SeenShardActor`` starts), and the politeness actors are asked for
+    right after the pool. A robots-off crawl starts fetch workers only."""
     log: list = []
     monkeypatch.setattr(crawl, "FetchWorker", _Recording(crawl.FetchWorker, "fetch", log))
     monkeypatch.setattr(seen, "SeenShardActor", _Recording(seen.SeenShardActor, "seen", log))
@@ -60,13 +61,10 @@ def test_fetch_pool_is_submitted_before_the_state_actors(ray_session, tmp_path, 
     )
     result = run_crawl(config)
     assert result.pages_fetched > 0
-    assert log.count("fetch") == 2 and log.count("seen") == 2
-    assert log.count("politeness") == 1
-    assert log.index("seen") > max(i for i, name in enumerate(log) if name == "fetch")
-    assert log.index("politeness") > log.index("seen")
+    assert log == ["fetch", "fetch", "politeness"]
     log.clear()
     assert run_crawl(replace(config, out_dir=str(tmp_path / "off"), respect_robots=False)).pages_fetched
-    assert log.count("politeness") == 0 and log.count("seen") == 2
+    assert log == ["fetch", "fetch"]
 
 
 def _modules(worker) -> set:

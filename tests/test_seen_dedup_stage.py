@@ -3,6 +3,7 @@ worker-side admission routine."""
 
 import numpy as np
 import pyarrow as pa
+import ray
 
 from spider_ray.state.seen import ShardedSeen
 
@@ -52,3 +53,49 @@ def test_chunk_admission_with_bloom(ray_session):
     assert deep.column("url_hash").to_pylist() == [6]
     assert sent == 1  # the depth-filtered key is not sent
     assert not seen.probe(np.array([5], dtype=np.uint64)).any()
+
+
+def test_pool_hosted_shards_admit_each_key_once(ray_session, tmp_path):
+    """Two fetch workers host four shards between them and admit
+    overlapping key batches at the same time, each through its own
+    shards in-process and its peer's over RPC, so a worker's chunk thread
+    and its ``"seen"`` thread admit into the same shards at once (with a
+    short thread switch interval): every key is admitted exactly once
+    overall, and the driver's stats ask each host once."""
+    from spider_ray.pipelines.crawl import CrawlConfig, FetchWorker, _worker_args
+
+    config = CrawlConfig(out_dir=str(tmp_path), seeds=[], n_seen_shards=4,
+                         seen_capacity_per_shard=1 << 12)
+    pool = [FetchWorker.options(num_cpus=0.5).remote(*_worker_args(config, w, 2))
+            for w in range(2)]
+    seen = ShardedSeen([pool[s % 2] for s in range(4)])
+    assert len(seen.hosts) == 2
+    for worker in pool:
+        worker.attach.remote(seen)
+    rng = np.random.default_rng(5)
+    universe = rng.integers(0, 2**63, 20_000, dtype=np.uint64)
+    batches = [[rng.choice(universe, 1_000) for _ in range(100)] for _ in pool]
+
+    def admit_all(worker, batches):
+        import sys
+
+        sys.setswitchinterval(1e-6)  # the worker is killed after the test
+        return [worker.seen.check_and_add(keys) for keys in batches]
+
+    try:
+        local = ray.get([w.__ray_call__.remote(lambda self: (self.seen._owner == -1).tolist())
+                         for w in pool], timeout=60)
+        assert local == [[True, False, True, False], [False, True, False, True]]
+        masks = ray.get([w.__ray_call__.remote(admit_all, b) for w, b in zip(pool, batches)],
+                        timeout=120)
+        stats = seen.stats()
+    finally:
+        for worker in pool:
+            ray.kill(worker, no_restart=True)
+    admitted = np.concatenate([
+        keys[mask] for per_worker, sent in zip(masks, batches)
+        for keys, mask in zip(sent, per_worker)
+    ])
+    sent = np.concatenate([keys for per_worker in batches for keys in per_worker])
+    assert len(admitted) == len(set(admitted.tolist())) == len(set(sent.tolist()))
+    assert stats == {"n_items": len(admitted)}

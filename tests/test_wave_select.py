@@ -220,3 +220,48 @@ def test_runset_cut_null_host():
         wave_b.select(["url", "priority"]).to_pydict()
     assert wave_a.num_rows + leftover_a.count == with_null.num_rows
     assert wave_a.column("url").to_pylist() == _urls(with_null, sequential_cut(with_null, 60, 5)[0])
+
+
+@pytest.mark.parametrize("spilled", [False, True])
+def test_cut_after_a_short_wave_walks_once(tmp_path, monkeypatch, spilled):
+    """The cap leaves every wave short until the frontier is nearly
+    drained: the first cut walks twice (the wave's ``wave_k`` rows, then
+    every loaded row), and each cut after a short one walks every loaded
+    row at once. The waves equal those of cuts that start at ``wave_k``
+    rows each time, and of the reference scan."""
+    from spider_ray.pipelines import crawl
+
+    calls = collections.Counter()
+    prefix_cut = crawl._prefix_cut
+
+    def counted(*a, **k):
+        calls[mode] += 1
+        return prefix_cut(*a, **k)
+
+    monkeypatch.setattr(crawl, "_prefix_cut", counted)
+    frontier = _frontier(n=500, hosts=5)
+    bounds = [0, 170, 340, 500]
+    waves = {}
+    for mode in ("walk_all", "wave_k first"):
+        rs = (spilled_runset_of(frontier, bounds, str(tmp_path / mode), 64) if spilled
+              else runset_of(frontier, bounds))
+        waves[mode], shorts = [], 0
+        while rs.count:
+            wave, rs = rs.cut(100, 10)
+            waves[mode].append(wave.column("url").to_pylist())
+            shorts += rs.walk_all
+            if mode != "walk_all":
+                rs.walk_all = False
+    assert waves["walk_all"] == waves["wave_k first"]
+    reference, rest = [], frontier
+    while rest.num_rows:
+        wave, deferred = sequential_cut(rest, 100, 10)
+        reference.append(_urls(rest, wave))
+        rest = rest.take(pa.array(deferred, pa.int64()))
+    assert waves["walk_all"] == reference
+    assert shorts == 9  # ten waves of 50 rows; the last one is the whole rest
+    if not spilled:
+        assert calls["walk_all"] == len(reference) + 1
+        # every cut but the last two (100 and 50 rows left) walks twice
+        assert calls["wave_k first"] == 2 * len(reference) - 2
+    assert calls["walk_all"] < calls["wave_k first"]
