@@ -209,11 +209,11 @@ class ShardedSeen:
     which hosts several). A host's calls carry the keys of all its shards
     at once.
 
-    ``local`` is the ``SeenHost`` of the process this client lives in,
-    whose shards are those ``shards`` points at actor ``local_id``: their
-    keys never leave the process. The client pickles without it (only the
-    handles travel), so a fetch/dedup stage can keep one in its actor and
-    batch-probe from inside ``map_batches``.
+    ``local`` is the ``SeenHost`` of the actor this client lives in
+    (``local_id``): it serves the shards whose handle is that actor, so
+    their keys never leave the process. The client pickles without it
+    (only the handles travel), so a fetch/dedup stage can keep one in its
+    actor and batch-probe from inside ``map_batches``.
     """
 
     def __init__(self, shards: list, local: SeenHost | None = None, local_id: str | None = None):
