@@ -135,8 +135,10 @@ def run_bench() -> dict:
             wave_k=200_000,  # bounds per-wave memory (wave = streaming unit)
             exact_seen=False,  # scale mode: cuckoo-only authoritative filter
             use_bloom=True,
-            # shards scale with the worker pool (a real cluster scales them
-            # with nodes): fewer workers per shard → less probe serialization
+            # hash partitions of the seen set, hosted by the fetch workers
+            # (worker w owns shards s ≡ w mod workers). A worker serves
+            # the calls for all its shards one at a time, so the count
+            # sets the partitions' size, not probe parallelism
             n_seen_shards=max(8, ncpu // 2),
             seen_capacity_per_shard=max(
                 1 << 16, int(n_pages * 1.5) // max(8, ncpu // 2)

@@ -334,11 +334,11 @@ FetchWorker = ray.remote(concurrency_groups={"seen": 1})(_ChunkWorker)
 
 
 def _worker_args(
-    config: CrawlConfig, worker: int = 0, slots: int = 1, seed_keys: np.ndarray | None = None
+    config: CrawlConfig, worker: int, slots: int, seed_keys: np.ndarray | None
 ) -> tuple:
     """Constructor args of ``_ChunkWorker`` ``worker`` of a ``slots``-worker
     pool for this crawl: it hosts the seen shards ``s ≡ worker (mod
-    slots)``, loaded with the ``seed_keys`` they own."""
+    slots)``, loaded with the ``seed_keys`` they own (``None``: none)."""
     stage_kwargs = {
         "web_config": config.web,
         "adapter": config.adapter,
@@ -1050,7 +1050,8 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     seed_keys = None
     if not resumed:
         # a fresh seen set is empty: the seeds it admits are their first
-        # occurrences, and the workers' shards are born holding them
+        # occurrences (one batch, so a cuckoo false positive of another
+        # seed is admitted too), and the workers' shards are born holding them
         seed_urls, keys = _canonical_seeds(config.seeds)
         first = np.sort(np.unique(keys, return_index=True)[1])
         checks, hits = len(keys), len(keys) - len(first)

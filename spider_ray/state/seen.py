@@ -183,24 +183,24 @@ class SeenHost:
         with self.lock:
             return {"n_items": sum(st.stats()["n_items"] for st in self.states.values())}
 
-    def snapshot(self, shard: int) -> tuple[bytes, int]:
-        """Shard ``shard``'s snapshot and its item count."""
-        with self.lock:
-            state = self.states[shard % self.n_shards]
-            return state.snapshot(), state.stats()["n_items"]
-
-    def restore(self, shard: int, data: bytes) -> None:
-        with self.lock:
-            self.states[shard % self.n_shards] = SeenShardState.from_snapshot(data)
-
 
 @ray.remote(num_cpus=SHARD_NUM_CPUS)
 class SeenShardActor(SeenHost):
     """A standalone one-shard host: ``ShardedSeen`` routes it the keys of
-    its shard only, so it keeps them in one partition of one."""
+    its shard only, so it keeps them in one partition of one. Only a
+    standalone shard snapshots and restores its membership structure
+    (``ShardedSeen.snapshot_table``/``restore_table``)."""
 
     def __init__(self, capacity: int, exact: bool):
         super().__init__([0], 1, capacity, exact)
+
+    def snapshot(self) -> bytes:
+        with self.lock:
+            return self.states[0].snapshot()
+
+    def restore(self, data: bytes) -> None:
+        with self.lock:
+            self.states[0] = SeenShardState.from_snapshot(data)
 
 
 class ShardedSeen:
@@ -292,15 +292,20 @@ class ShardedSeen:
         ray.get(refs)
 
     def snapshot_table(self):
-        """Seen-set checkpoint as an Arrow table (schemas.SEEN_SCHEMA)."""
+        """Seen-set checkpoint as an Arrow table (schemas.SEEN_SCHEMA).
+        Standalone shards only (``create``): a crawl's pool-hosted shards
+        are rebuilt from its checkpoint tables instead (``load``)."""
         import pyarrow as pa
 
-        snaps = ray.get([h.snapshot.remote(s) for s, h in enumerate(self.shards)])
+        blobs = ray.get([s.snapshot.remote() for s in self.shards])
+        stats = ray.get([s.stats.remote() for s in self.shards])
         return pa.table(
             {
                 "shard_id": pa.array(range(self.n_shards), pa.int32()),
-                "filter_bytes": pa.array([blob for blob, _ in snaps], pa.large_binary()),
-                "n_items": pa.array([n for _, n in snaps], pa.int64()),
+                "filter_bytes": pa.array(blobs, pa.large_binary()),
+                "n_items": pa.array(
+                    [st["n_items"] for st in stats], pa.int64()
+                ),
             }
         )
 
@@ -308,7 +313,7 @@ class ShardedSeen:
         ids = table.column("shard_id").to_pylist()
         blobs = table.column("filter_bytes").to_pylist()
         ray.get(
-            [self.shards[i].restore.remote(i, b) for i, b in zip(ids, blobs)]
+            [self.shards[i].restore.remote(b) for i, b in zip(ids, blobs)]
         )
 
     def stats(self) -> dict:

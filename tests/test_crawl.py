@@ -102,6 +102,36 @@ def test_crawl_over_unevenly_hosted_shards_matches_bfs_closure(ray_session, tmp_
     assert result.seen_size == admitted == len(set(order.column("url_hash").to_pylist()))
 
 
+def test_seeds_colliding_in_the_cuckoo_filter_are_all_admitted(ray_session, tmp_path):
+    """A fresh crawl admits its seeds as one batch: their distinct keys,
+    found on the driver, and loaded into the shards in one call per host
+    (a batch is probed before it is added). Two seeds whose keys share a
+    fingerprint and a bucket are therefore both fetched and both stored;
+    only the exact duplicate counts as a dedup hit."""
+    from spider_ray.functions.urls import canonicalize_url, url_hash64
+    from spider_ray.state.cuckoo import CuckooFilter
+
+    n_buckets = CuckooFilter(1024).n_buckets
+    mask = (1 << 16) * n_buckets - 1  # a key's fingerprint and first bucket
+    first: dict = {}
+    for i in range(1 << 16):
+        url = canonicalize_url(f"http://offsite.test/s/{i}")
+        twin = first.setdefault(url_hash64(url) & mask, url)
+        if twin != url:
+            break
+    seeds = [twin, url, twin]
+    config = CrawlConfig(
+        out_dir=str(tmp_path), seeds=seeds, web=MockWebConfig(n_pages=10, n_hosts=2),
+        exact_seen=False, n_seen_shards=1, seen_capacity_per_shard=1024,
+        fetch_concurrency=1,
+    )
+    result = run_crawl(config)
+    order = EpochStore(config.out_dir).read_all("order")
+    assert sorted(order.column("url").to_pylist()) == sorted([twin, url])
+    assert (result.pages_fetched, result.dedup_checks, result.dedup_hits) == (2, 3, 1)
+    assert result.seen_size == 2
+
+
 def test_crawl_order_fully_deterministic(small_crawl, tmp_path):
     cfg, config, _ = small_crawl
     from dataclasses import replace

@@ -80,7 +80,7 @@ def test_first_chunk_of_a_fresh_worker_imports_nothing(ray_session, tmp_path):
     seeds = seed_urls(web, every=4) + [image_url(i, web) for i in (0, 5)]
     config = CrawlConfig(out_dir=str(tmp_path), seeds=seeds, web=web)
     shards = ShardedSeen.create(n_shards=2, capacity_per_shard=1 << 12, exact=True)
-    worker = FetchWorker.options(num_cpus=0.5).remote(*_worker_args(config))
+    worker = FetchWorker.options(num_cpus=0.5).remote(*_worker_args(config, 0, 1, None))
     try:
         ray.get(worker.__ray_ready__.remote())
         before = _modules(worker)

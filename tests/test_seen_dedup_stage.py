@@ -66,7 +66,7 @@ def test_pool_hosted_shards_admit_each_key_once(ray_session, tmp_path):
 
     config = CrawlConfig(out_dir=str(tmp_path), seeds=[], n_seen_shards=4,
                          seen_capacity_per_shard=1 << 12)
-    pool = [FetchWorker.options(num_cpus=0.5).remote(*_worker_args(config, w, 2))
+    pool = [FetchWorker.options(num_cpus=0.5).remote(*_worker_args(config, w, 2, None))
             for w in range(2)]
     seen = ShardedSeen([pool[s % 2] for s in range(4)])
     assert len(seen.hosts) == 2

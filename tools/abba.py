@@ -1,7 +1,7 @@
 """ABBA comparison of two checkouts on the crawl benchmark.
 
     python tools/abba.py --parent ../parent --change . --workload preempted \
-        --seeds 61-66 [--seconds 15] [--trace 0] [--pause 5] [--out runs.json]
+        --seeds 61-66 [--seconds 15] [--trace 0]
 
 Runs ``perfbench/run.py --workload W --seed S --seconds N --trace T`` once
 in each checkout per seed, from that checkout's root, alternating which
@@ -24,6 +24,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+PAUSE_S = 5.0  # between runs: let the previous run's Ray processes exit
 
 
 def _seeds(spec: str) -> list[int]:
@@ -67,9 +69,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="e.g. 61-66 or 1,3,5-7")
     ap.add_argument("--seconds", type=float, default=15)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--pause", type=float, default=5.0, help="seconds between runs")
-    ap.add_argument("--metrics", help="comma-separated names (default: all)")
-    ap.add_argument("--out", help="write every run's metrics here as JSON")
     args = ap.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -78,14 +77,10 @@ def main(argv=None) -> int:
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
             runs[side].append(_run(sides[side], args, seed))
             print(f"seed {seed} {side}: " + json.dumps(
-                {m: round(v, 4) for m, v in runs[side][-1].items()
-                 if not args.metrics or m in args.metrics.split(",")}), flush=True)
-            time.sleep(args.pause)
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump({"workload": args.workload, "seeds": seeds, **runs}, f)
+                {m: round(v, 4) for m, v in runs[side][-1].items()}), flush=True)
+            time.sleep(PAUSE_S)
     better = _directions(sides["change"])
-    names = args.metrics.split(",") if args.metrics else sorted(runs["parent"][0])
+    names = sorted(runs["parent"][0])
     print(f"\n{args.workload}, seeds {args.seeds}, {len(seeds)} pairs")
     for name in names:
         a = [r[name] for r in runs["parent"]]
