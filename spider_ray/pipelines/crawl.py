@@ -9,10 +9,11 @@ fetch scheduler". Per wave (epoch):
    ``sort(priority desc, url_hash asc) . limit(wave_k)``. The total order
    tie-break on ``url_hash`` is what makes crawl ordering reproducible
    under parallelism (reference ordering = caller order + priority chains,
-   SURVEY.md §2.7 O6). With ``respect_robots`` the politeness actors
-   screen the cut, fetching robots.txt through the resolver seam
-   (``state/politeness.py``): disallowed rows are dropped and logged,
-   Crawl-delay overflow and failed-robots hosts deferred.
+   SURVEY.md §2.7 O6). With ``respect_robots`` the fetch workers
+   screen the cut, each for the hosts it owns, fetching robots.txt
+   through their pages' resolver (``state/politeness.py``): disallowed
+   rows are dropped and logged, Crawl-delay overflow and failed-robots
+   hosts deferred.
 2. **Fetch + parse + extract + admit** — one data path per chunk: the
    wave is cut into strided chunks, and each runs the fused row pipeline
    (``_fused_chunk``) on a ``_ChunkWorker``, which fetches (adapter
@@ -34,7 +35,7 @@ fetch scheduler". Per wave (epoch):
    ``checkpoint_interval`` epochs. An epoch's tables go out as ONE Ray
    write task, overlapped with the next wave's fetch; the driver's
    control plane is one round trip per service per wave (one robots
-   ``screen`` per politeness actor, the chunks themselves, one write
+   ``screen`` per owning fetch worker, the chunks themselves, one write
    task). The seen set itself is never written: every
    admitted key is fetched (order), waiting (frontier) or robots-dropped,
    so a resume rebuilds the shards from those tables
@@ -72,12 +73,12 @@ rules keep it off the first wave's critical path:
   at a time, at about half a second each. The seen shards start no
   process: fetch worker ``w`` of ``slots`` hosts the shards
   ``s ≡ w (mod slots)``, born with their part of the seed keys (a fresh
-  set admits the seeds' first occurrences, found on the driver). So a
-  crawl starts one process per fetch slot, plus (robots on only) the
-  politeness actors, created right after the pool. The workers' seen
-  client arrives through one ``attach`` call queued ahead of their first
-  chunk; a resume loads the rebuilt keys into the workers before the
-  first wave, which waits on their boot anyway.
+  set admits the seeds' first occurrences, found on the driver), and
+  the robots state of the hosts ``h`` with ``host_shard(h, slots) ==
+  w``. So a crawl starts one process per fetch slot and no other actor.
+  The workers' seen client arrives through one ``attach`` call queued
+  ahead of their first chunk; a resume loads the rebuilt keys into the
+  workers before the first wave, which waits on their boot anyway.
 - **Warm-up.** A fetch worker's constructor pays the chunk routine's
   first-use imports, so they do not delay the first chunk.
 - **Arrow IPC wire.** Every table the crawl sends through Ray goes as an
@@ -112,7 +113,7 @@ from ..sources.fixtures import MockWebConfig
 from ..sources.storage import WRITE_TASK_NUM_CPUS, EpochStore, from_wire, to_wire
 from ..stages.fetch import FetchStage
 from ..stages.parse import priority_from_hash
-from ..state.politeness import POLITENESS_NUM_CPUS, PolitenessPool
+from ..state.politeness import HostBudgetState, PolitenessPool
 from ..state.seen import SeenHost, ShardedSeen
 
 _FIXED_EPOCH_MS = 1_700_000_000_000
@@ -144,7 +145,6 @@ class CrawlConfig:
     # polite wall-clock, so Crawl-delay: d grants floor(period/d) tokens
     # per wave (state/politeness.py delay_budget)
     politeness_wave_period_s: float = 60.0
-    robots_agent: str = "*"
     # frontier rows the driver may hold in memory; beyond it, they spill
     # to immutable sorted run files (RunSet)
     driver_wave_threshold: int = 200_000
@@ -189,8 +189,9 @@ class CrawlConfig:
     #             the bounded fixpoint (≤3 rounds crawlee / ≤10 tree,
     #              2-empty stop) and counts interactions; a resolver
     #             without expand() crawls expansion-free (fetch.py:191).
-    #   robots    with respect_robots, each politeness actor runs the
-    #             factory once too; robots.txt uses resolve() only
+    #   robots    with respect_robots, each fetch worker asks its
+    #             resolver for the robots.txt of the hosts it owns,
+    #             through resolve() only
     #   lifecycle the factory runs inside the actor, so the browser
     #             process is launched once per actor and amortized across
     #             every wave the actor serves (ST2); hold the
@@ -229,8 +230,8 @@ class _ChunkWorker:
     """Worker-side state of the fused chunk routine: the stateful fetch
     stage (session/browser/cache — reference tears its browser down per
     URL, browser-runner.ts:335-338), this worker's seen shards (``host``)
-    and the crawl's seen client, an optional bloom pre-filter and the
-    depth limit.
+    and the crawl's seen client, the robots state of the hosts it owns
+    (``robots``), an optional bloom pre-filter and the depth limit.
 
     Each persistent ``FetchWorker`` actor holds one, reused across waves
     (Ray Data's ``map_batches`` would build a fresh actor pool per
@@ -247,6 +248,10 @@ class _ChunkWorker:
     ``attach``, queued ahead of its first chunk (an actor's mailbox is
     FIFO per caller).
 
+    Robots: ``screen`` runs in the default group, like ``process_chunk``,
+    and never beside a chunk: the driver screens a cut only once every
+    chunk of the previous wave is collected.
+
     Start-up: the constructor pays the chunk routine's first-use imports,
     so the first chunk imports nothing. Tables cross Ray as Arrow IPC
     (``to_wire``): a chunk comes in encoded and its fresh/failed/lineage
@@ -261,6 +266,7 @@ class _ChunkWorker:
         stage_kwargs: dict,
         resolver_factory,
         host_args: tuple,
+        robots_args: tuple,
     ):
         from ..state.bloom import BloomFilter
 
@@ -269,6 +275,7 @@ class _ChunkWorker:
             **stage_kwargs,
         )
         self.host = SeenHost(*host_args)
+        self.robots = HostBudgetState(*robots_args)
         # worker-side admission: each worker admits its own chunk's
         # candidates (north rule: bloom pre-filter lives in the fetch
         # actors) — the driver never touches raw candidates
@@ -301,6 +308,12 @@ class _ChunkWorker:
     @ray.method(concurrency_group="seen")
     def stats(self) -> dict:
         return self.host.stats()
+
+    def screen(self, urls_by_host: dict) -> tuple[dict, dict]:
+        """``HostBudgetState.screen`` of this worker's hosts, robots.txt
+        fetched through the stage's resolver (bypassing its caches and
+        fetch counter)."""
+        return self.robots.screen(urls_by_host, self.stage.web.resolve)
 
     def process_chunk(
         self,
@@ -338,7 +351,8 @@ def _worker_args(
 ) -> tuple:
     """Constructor args of ``_ChunkWorker`` ``worker`` of a ``slots``-worker
     pool for this crawl: it hosts the seen shards ``s ≡ worker (mod
-    slots)``, loaded with the ``seed_keys`` they own (``None``: none)."""
+    slots)``, loaded with the ``seed_keys`` they own (``None``: none),
+    and the robots state of the hosts it owns."""
     stage_kwargs = {
         "web_config": config.web,
         "adapter": config.adapter,
@@ -351,7 +365,10 @@ def _worker_args(
     host_args = (
         range(worker, n, slots), n, config.seen_capacity_per_shard, config.exact_seen, seed_keys,
     )
-    return (config.use_bloom, config.max_depth, stage_kwargs, config.resolver_factory, host_args)
+    return (
+        config.use_bloom, config.max_depth, stage_kwargs, config.resolver_factory, host_args,
+        (config.max_per_host_per_wave, config.politeness_wave_period_s),
+    )
 
 
 def _fused_chunk(
@@ -1019,22 +1036,21 @@ class Frontier:
 # The crawl driver loop
 # ---------------------------------------------------------------------------
 
-def _fetch_slots(config: CrawlConfig, n_politeness: int) -> int:
-    """Fetch pool actors that co-schedule with the crawl's own
-    reservations: the politeness actors and one checkpoint-write task
-    (the seen shards live in the fetch workers). A worker that cannot
-    schedule would hang its wave forever, so a budget with room for none
-    raises instead."""
+def _fetch_slots(config: CrawlConfig) -> int:
+    """Fetch pool actors that co-schedule with the crawl's one other
+    reservation, a checkpoint-write task (the seen shards and robots
+    state live in the fetch workers). A worker that cannot schedule
+    would hang its wave forever, so a budget with room for none raises
+    instead."""
     avail = float(ray.cluster_resources().get("CPU", config.fetch_concurrency))
-    reserved = n_politeness * POLITENESS_NUM_CPUS + WRITE_TASK_NUM_CPUS
     per_worker = max(0.1, config.fetch_num_cpus)
-    fit = int((avail - reserved) / per_worker + 1e-9)
+    fit = int((avail - WRITE_TASK_NUM_CPUS) / per_worker + 1e-9)
     if fit < 1:
         raise ValueError(
-            f"crawl needs {reserved + per_worker:.2f} CPUs ({n_politeness} politeness "
-            f"actors x {POLITENESS_NUM_CPUS}, a {WRITE_TASK_NUM_CPUS}-CPU checkpoint "
-            f"write and one {per_worker}-CPU fetch worker) but the Ray cluster has "
-            f"{avail:.2f}"
+            f"crawl needs {WRITE_TASK_NUM_CPUS + per_worker:.2f} CPUs (a "
+            f"{WRITE_TASK_NUM_CPUS}-CPU checkpoint write and one {per_worker}-CPU fetch "
+            f"worker, which holds the seen shards and robots state) but the Ray "
+            f"cluster has {avail:.2f}"
         )
     return max(1, min(config.fetch_concurrency, fit))
 
@@ -1042,9 +1058,7 @@ def _fetch_slots(config: CrawlConfig, n_politeness: int) -> int:
 def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     """Run (or resume) a crawl to completion; everything checkpointed per
     epoch. Ray must already be initialized by the caller."""
-    # the politeness actors hold robots state only: none on a robots-off crawl
-    n_politeness = max(1, config.n_seen_shards // 2) if config.respect_robots else 0
-    slots = _fetch_slots(config, n_politeness)  # raises before any actor starts
+    slots = _fetch_slots(config)  # raises before any actor starts
     store = EpochStore(config.out_dir)
     resumed = resume and bool(store.manifest()["completed_epochs"])
     seed_keys = None
@@ -1056,23 +1070,16 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         first = np.sort(np.unique(keys, return_index=True)[1])
         checks, hits = len(keys), len(keys) - len(first)
         seed_keys = keys[first]
-    # Boot: the fetch pool (which hosts the seen shards) is created first,
-    # the politeness actors right after it; the raylet starts actor
-    # processes about two at a time.
+    # Boot: the fetch pool, which hosts the seen shards and the robots
+    # state, is the crawl's only actors; the raylet starts actor processes
+    # about two at a time.
     fetch_pool = [
         FetchWorker.options(num_cpus=config.fetch_num_cpus).remote(
             *_worker_args(config, w, slots, seed_keys)
         )
         for w in range(slots)
     ]
-    politeness = PolitenessPool.create(
-        n_actors=n_politeness,
-        budget_per_wave=config.max_per_host_per_wave,
-        wave_period_s=config.politeness_wave_period_s,
-        agent=config.robots_agent,
-        resolver_factory=config.resolver_factory,
-        web_config=config.web,
-    )
+    politeness = PolitenessPool(fetch_pool)
     seen = ShardedSeen([fetch_pool[s % slots] for s in range(config.n_seen_shards)])
     for worker in fetch_pool:
         worker.attach.remote(seen)  # FIFO mailbox: runs before any chunk
@@ -1107,7 +1114,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
         wave, deferred = _wave_cut_driver(frontier, config.wave_k, config.max_per_host_per_wave)
         dropped = None
         if config.respect_robots:
-            # one call per owning politeness actor (robots.txt fetched
+            # one call per owning fetch worker (robots.txt fetched
             # there): the allowed mask and Crawl-delay budgets out
             allowed, caps = politeness.screen(
                 wave.column("host").to_pylist(),
@@ -1225,7 +1232,7 @@ def run_crawl(config: CrawlConfig, resume: bool = False) -> CrawlResult:
     # out-of-scope handles: the pool alone reserves fetch_concurrency ×
     # fetch_num_cpus CPUs, which would starve whatever the caller runs next
     # (the bench's query suite measured ~2× slower behind a lingering pool).
-    for actor in [*fetch_pool, *politeness.actors]:
+    for actor in fetch_pool:
         ray.kill(actor, no_restart=True)
     return CrawlResult(
         out_dir=config.out_dir,

@@ -5,21 +5,22 @@ Generalizes the reference's single global rate-limit sleep
 "per-host politeness tokens and robots.txt caches held in stateful
 actor-pool stages":
 
-- Hosts are partitioned over a small pool of ``HostBudgetActor``s keyed by
-  ``hash(host) % n_actors`` — one actor owns a host's robots.txt, so every
-  fetch decision about a host reads the same rules. The actors hold
-  robots state only, so ``run_crawl`` starts them only with
-  ``respect_robots``.
+- The crawl's robots state lives in its fetch workers (``crawl.FetchWorker``
+  holds a ``HostBudgetState``): hosts are partitioned over the pool by
+  ``host_shard(host, n_workers)``, so one worker owns a host's robots.txt
+  and every fetch decision about a host reads the same rules. A robots-off
+  crawl leaves those states empty.
 - The per-host cap (``max_per_host_per_wave``) is the driver's wave cut
   (``crawl.RunSet.cut``), not applied here. ``PolitenessPool.screen``
-  makes ONE call per owning actor per wave and returns the robots mask
+  makes ONE call per owning worker per wave and returns the robots mask
   and each host's Crawl-delay wave budget (floor(wave_period_s / delay)
   tokens — deterministic, no sleeps, so crawl ordering is reproducible).
-- robots.txt is fetched by the owning actor inside ``screen``, once per
-  host, through the crawl's resolver seam: one resolver per actor from
-  ``resolver_factory`` (None → ``MockWeb``, as in ``FetchStage``), asked
-  for ``<scheme>://<netloc>/robots.txt`` of the host's first URL in the
-  wave (``urls.host_of`` drops the port). The driver fetches nothing.
+- robots.txt is fetched by the owning worker inside ``screen``, once per
+  host, through the same resolver object as the worker's pages (the
+  crawl's resolver seam; the call bypasses ``FetchStage``'s caches and
+  fetch counter), asked for ``<scheme>://<netloc>/robots.txt`` of the
+  host's first URL in the wave (``urls.host_of`` drops the port). The
+  driver fetches nothing.
   Statuses map as RFC 9309 §2.3.1 says: a 2xx is parsed (first 500 KiB;
   ``parse_robots`` also reads a fractional Crawl-delay) and cached; any
   other status under 500 allows everything and is cached; a 5xx or the
@@ -28,13 +29,13 @@ actor-pool stages":
   wave, whose ``screen`` asks again — until robots.txt answers or
   ``max_epochs`` ends the crawl. Failure stays data: nothing is dropped
   and nothing raises.
-- ``begin_wave`` and the one-concern calls ``ensure_robots``/``allowed``/
-  ``delay_caps`` remain as library API; the crawl does not call them.
+- ``HostBudgetActor``, ``PolitenessPool.create`` and the one-concern calls
+  ``begin_wave``/``ensure_robots``/``allowed``/``delay_caps`` serve
+  standalone politeness actors only; the crawl calls none of them.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import re
@@ -43,8 +44,6 @@ import urllib.robotparser
 
 import numpy as np
 import ray
-
-from ..sources.fixtures import MockWeb, MockWebConfig
 
 
 def host_shard(host: str, n_actors: int) -> int:
@@ -156,15 +155,16 @@ class HostBudgetState:
             self.set_robots(host, None)
         return True
 
-    def screen(self, urls_by_host: dict, resolve, agent: str = "*") -> tuple[dict, dict]:
-        """(host → robots mask of its urls, host → Crawl-delay budget or
-        None for every host with at least one allowed url), fetching
-        robots.txt for hosts not cached; 0 when it did not answer."""
+    def screen(self, urls_by_host: dict, resolve) -> tuple[dict, dict]:
+        """(host → robots mask of its urls for this state's agent, host →
+        Crawl-delay budget or None for every host with at least one
+        allowed url), fetching robots.txt for hosts not cached; 0 when it
+        did not answer."""
         unreachable = [
             h for h, urls in urls_by_host.items()
             if not self.robots_known(h) and not self.fetch_robots(h, urls[0], resolve)
         ]
-        masks = {h: self.allowed(h, urls, agent) for h, urls in urls_by_host.items()}
+        masks = {h: self.allowed(h, urls, self.agent) for h, urls in urls_by_host.items()}
         caps = {h: self.delay_budget(h) for h, m in masks.items() if m.any()}
         caps.update(dict.fromkeys(unreachable, 0))
         return masks, caps
@@ -175,19 +175,11 @@ POLITENESS_NUM_CPUS = 0.1
 
 @ray.remote(num_cpus=POLITENESS_NUM_CPUS)
 class HostBudgetActor:
-    def __init__(
-        self,
-        budget_per_wave: int,
-        wave_period_s: float = 60.0,
-        agent: str = "*",
-        resolver_factory=None,
-        web_config: MockWebConfig | None = None,
-    ):
-        self.state = HostBudgetState(budget_per_wave, wave_period_s, agent)
-        self._make_resolver = resolver_factory or functools.partial(
-            MockWeb, web_config or MockWebConfig()
-        )
-        self._resolver = None
+    """A standalone host's robots state (the crawl keeps its own in the
+    fetch workers)."""
+
+    def __init__(self, budget_per_wave: int, wave_period_s: float = 60.0):
+        self.state = HostBudgetState(budget_per_wave, wave_period_s)
 
     def begin_wave(self) -> None:
         self.state.begin_wave()
@@ -204,41 +196,22 @@ class HostBudgetActor:
     def delay_budgets(self, hosts: list[str]) -> list:
         return [self.state.delay_budget(h) for h in hosts]
 
-    def _resolve(self, url: str, attempts: int):
-        if self._resolver is None:  # built on the first robots.txt fetch
-            self._resolver = self._make_resolver()
-        return self._resolver.resolve(url, attempts)
-
-    def screen(self, urls_by_host: dict, agent: str = "*"):
-        return self.state.screen(urls_by_host, self._resolve, agent)
-
 
 class PolitenessPool:
-    """Client over the host-budget actors (serializable: the handles)."""
+    """Client over the actors that own hosts' robots state (serializable:
+    the handles): ``screen`` asks the crawl's fetch workers, the other
+    calls standalone ``HostBudgetActor``s from ``create``."""
 
-    def __init__(self, actors: list, agent: str = "*"):
+    def __init__(self, actors: list):
         self.actors = actors
         self.n = len(actors)
-        self.agent = agent
 
     @classmethod
     def create(
-        cls,
-        n_actors: int = 4,
-        budget_per_wave: int = 64,
-        wave_period_s: float = 60.0,
-        agent: str = "*",
-        resolver_factory=None,
-        web_config: MockWebConfig | None = None,
+        cls, n_actors: int = 4, budget_per_wave: int = 64, wave_period_s: float = 60.0
     ) -> "PolitenessPool":
         return cls(
-            [
-                HostBudgetActor.remote(
-                    budget_per_wave, wave_period_s, agent, resolver_factory, web_config
-                )
-                for _ in range(n_actors)
-            ],
-            agent=agent,
+            [HostBudgetActor.remote(budget_per_wave, wave_period_s) for _ in range(n_actors)]
         )
 
     def _by_actor(self, hosts) -> dict[int, list[str]]:
@@ -286,9 +259,7 @@ class PolitenessPool:
         refs = []
         for h, idx in order.items():
             s = host_shard(h, self.n)
-            refs.append(
-                (idx, self.actors[s].allowed.remote(h, [urls[i] for i in idx], self.agent))
-            )
+            refs.append((idx, self.actors[s].allowed.remote(h, [urls[i] for i in idx])))
         for idx, ref in refs:
             out[np.array(idx)] = ray.get(ref)
         return out
@@ -303,9 +274,7 @@ class PolitenessPool:
         for i, h in enumerate(hosts):
             rows.setdefault(h, []).append(i)
         refs = [
-            self.actors[s].screen.remote(
-                {h: [urls[i] for i in rows[h]] for h in hs}, self.agent
-            )
+            self.actors[s].screen.remote({h: [urls[i] for i in rows[h]] for h in hs})
             for s, hs in self._by_actor(rows).items()
         ]
         allowed = np.ones(len(urls), dtype=bool)

@@ -476,6 +476,53 @@ def test_robots_crawl_resumes_exactly(ray_session, tmp_path):
         assert res.seen_size == full.seen_size, out
 
 
+def test_robots_crawl_over_two_workers_fetches_each_robots_once(ray_session, tmp_path):
+    """Each fetch worker holds the robots state of the hosts it owns and
+    fetches their robots.txt through its own resolver: over 2 workers,
+    both fetch some, every host's robots.txt is requested exactly once
+    across the pool, and the crawl order (``depth`` aside: it is raced
+    across chunks) and the drop log equal the one-worker crawl's."""
+    import collections
+    import functools
+    import os
+    from dataclasses import replace
+
+    from spider_ray.state.politeness import robots_url
+
+    class LoggingWeb(MockWeb):  # a local class: Ray ships it to the workers by value
+        def __init__(self, cfg: MockWebConfig, log: str):
+            super().__init__(cfg)
+            self.log = log
+
+        def resolve(self, url: str, attempts: int = 0):
+            if url.endswith("/robots.txt"):
+                with open(self.log, "a") as f:  # every worker's requests, in one file
+                    f.write(f"{os.getpid()} {url}\n")
+            return super().resolve(url, attempts)
+
+    def crawl(name: str, workers: int):
+        base = _polite_cfg(str(tmp_path / name))
+        log = tmp_path / f"{name}.log"
+        run_crawl(replace(
+            base, fetch_concurrency=workers,
+            resolver_factory=functools.partial(LoggingWeb, base.web, str(log)),
+        ))
+        store = EpochStore(base.out_dir)
+        order = store.read_all("order")
+        hosts = {robots_url(u) for u in order.column("url").to_pylist()}
+        requests = [line.split() for line in log.read_text().splitlines()]
+        assert collections.Counter(u for _, u in requests) == dict.fromkeys(hosts, 1), name
+        dropped = set(store.read_all("dropped").column("url_hash").to_pylist())
+        return order.select(["epoch", "seq", "url_hash"]), dropped, {pid for pid, _ in requests}
+
+    order, dropped, pids = crawl("two", 2)
+    assert len(pids) == 2  # both workers own hosts
+    assert dropped
+    one_order, one_dropped, _ = crawl("one", 1)
+    assert order.equals(one_order)
+    assert dropped == one_dropped
+
+
 def test_crawl_control_plane_budget(ray_session, tmp_path, monkeypatch):
     """Per epoch the driver makes one round trip per service: one write
     task per written epoch (plus at most the final checkpoint and the drop

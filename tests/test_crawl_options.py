@@ -134,8 +134,8 @@ def test_spilled_frontier_resumes_from_an_early_checkpoint(ray_session, tmp_path
 
 def test_cpu_budget_without_room_for_a_worker_raises(ray_session, tmp_path):
     """A checkpoint write (0.25) + one 3.8-CPU fetch worker exceed the
-    session's 4 CPUs (the seen shards live in the fetch workers, and a
-    robots-off crawl starts no politeness actor): the crawl must refuse
+    session's 4 CPUs (the seen shards and robots state live in the fetch
+    workers): the crawl must refuse
     before starting any actor instead of waiting forever."""
     config = _base(tmp_path, "too_big", fetch_num_cpus=3.8)
     with pytest.raises(ValueError, match=r"needs 4\.05 CPUs .* has 4\.00"):
@@ -151,12 +151,13 @@ def test_fetch_slots_count_every_reservation(monkeypatch):
         out_dir="unused", seeds=[], n_seen_shards=2, fetch_num_cpus=0.5,
         fetch_concurrency=1,
     )
-    assert crawl._fetch_slots(cfg, n_politeness=1) == 1
-    # (2 - 0.1 - 0.25) / 0.5 = 3.3 workers fit: the shards reserve nothing
-    assert crawl._fetch_slots(replace(cfg, fetch_concurrency=8), n_politeness=1) == 3
-    # 1.0 CPU fits one 0.5-CPU worker beside a politeness actor and a write
+    assert crawl._fetch_slots(cfg) == 1
+    # (2 - 0.25) / 0.5 = 3.5 workers fit: the shards and robots state
+    # reserve nothing
+    assert crawl._fetch_slots(replace(cfg, fetch_concurrency=8)) == 3
+    # 1.0 CPU fits one 0.5-CPU worker beside a write
     monkeypatch.setattr(crawl.ray, "cluster_resources", lambda: {"CPU": 1.0})
-    assert crawl._fetch_slots(replace(cfg, fetch_concurrency=8), n_politeness=1) == 1
-    monkeypatch.setattr(crawl.ray, "cluster_resources", lambda: {"CPU": 0.8})
-    with pytest.raises(ValueError, match="needs 0.85 CPUs"):
-        crawl._fetch_slots(cfg, n_politeness=1)
+    assert crawl._fetch_slots(replace(cfg, fetch_concurrency=8)) == 1
+    monkeypatch.setattr(crawl.ray, "cluster_resources", lambda: {"CPU": 0.7})
+    with pytest.raises(ValueError, match="needs 0.75 CPUs"):
+        crawl._fetch_slots(cfg)

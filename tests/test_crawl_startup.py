@@ -1,6 +1,6 @@
-"""Crawl start-up: the fetch pool hosts the seen shards and boots before
-the politeness actors, a fresh fetch worker's first chunk imports
-nothing, and crawl tables cross Ray as Arrow IPC
+"""Crawl start-up: the fetch pool hosts the seen shards and the robots
+state and is the only actors a crawl starts, a fresh fetch worker's first
+chunk imports nothing, and crawl tables cross Ray as Arrow IPC
 (``to_wire``/``from_wire``) with their exact schema."""
 
 import sys
@@ -44,9 +44,9 @@ class _Recording:
 
 def test_fetch_pool_is_submitted_before_the_state_actors(ray_session, tmp_path, monkeypatch):
     """The raylet boots actor processes a couple at a time, so a crawl
-    starts as few as it can: the fetch workers host the seen shards (no
-    ``SeenShardActor`` starts), and the politeness actors are asked for
-    right after the pool. A robots-off crawl starts fetch workers only."""
+    starts as few as it can: the fetch workers host the seen shards and
+    the robots state, so neither a ``SeenShardActor`` nor a
+    ``HostBudgetActor`` starts, with robots on or off."""
     log: list = []
     monkeypatch.setattr(crawl, "FetchWorker", _Recording(crawl.FetchWorker, "fetch", log))
     monkeypatch.setattr(seen, "SeenShardActor", _Recording(seen.SeenShardActor, "seen", log))
@@ -61,7 +61,7 @@ def test_fetch_pool_is_submitted_before_the_state_actors(ray_session, tmp_path, 
     )
     result = run_crawl(config)
     assert result.pages_fetched > 0
-    assert log == ["fetch", "fetch", "politeness"]
+    assert log == ["fetch", "fetch"]
     log.clear()
     assert run_crawl(replace(config, out_dir=str(tmp_path / "off"), respect_robots=False)).pages_fetched
     assert log == ["fetch", "fetch"]

@@ -110,6 +110,15 @@ def test_platform_registry_two_phase():
     # unresolved → ValidationError-style failure
     with pytest.raises(ValueError):
         reg.fetch_items({"url": "http://unknown.test"}, None, lambda u: None)
+    # unregister: detection no longer returns the type, and it registers again
+    reg.unregister("wordpress")
+    assert reg.detect("http://y.test/page", fetch_html) is None
+    assert reg.detect("http://y.test/wp/a", fetch_html, fallback_type="wordpress") is None
+    assert [a.type for a in reg.adapters()] == ["civicweb"]
+    reg.unregister("unknown")  # unknown type: a no-op
+    assert [a.type for a in reg.adapters()] == ["civicweb"]
+    reg.register(PlatformAdapter(type="wordpress", name="WordPress again", fetch=lambda s, c: []))
+    assert reg.detect("http://z.test/q", lambda u: None, fallback_type="wordpress")["type"] == "wordpress"
 
 
 def test_platform_registry_discover_options():

@@ -189,12 +189,11 @@ def test_epoch_store_projected_reads_and_counters(tmp_path):
 
 
 def test_politeness_screen_matches_separate_calls(ray_session, tmp_path):
-    """``PolitenessPool.screen`` gives the mask and Crawl-delay caps of
-    ensure_robots + allowed + delay_caps in one call per owning actor, and
-    each actor fetches a host's robots.txt through the resolver seam once,
-    however many waves screen the host."""
-    import functools
-
+    """``HostBudgetState.screen`` (what each fetch worker answers for the
+    hosts it owns) gives the mask and Crawl-delay caps of the standalone
+    pool's ensure_robots + allowed + delay_caps, and fetches a host's
+    robots.txt through ``resolve`` once, however many waves screen the
+    host."""
     from spider_ray.sources.fixtures import MockResponse
     from spider_ray.state.politeness import PolitenessPool
 
@@ -203,45 +202,42 @@ def test_politeness_screen_matches_separate_calls(ray_session, tmp_path):
         "slow.test": "User-agent: *\nCrawl-delay: 7.5\n",
         "open.test": None,
     }
+    asked: list = []
 
-    class Resolver:  # a local class: Ray ships it to the actors by value
-        def __init__(self, robots: dict, log: str):
-            self.robots, self.log = robots, log
+    def resolve(url: str, attempts: int):
+        asked.append(url)
+        txt = robots[url.split("/")[2]]
+        if txt is None:
+            return MockResponse(url, url, 404, "text/plain", content="")
+        return MockResponse(url, url, 200, "text/plain", content=txt)
 
-        def resolve(self, url: str, attempts: int):
-            with open(self.log, "a") as f:  # the actors' fetches, in one file
-                f.write(url + "\n")
-            txt = self.robots[url.split("/")[2]]
-            if txt is None:
-                return MockResponse(url, url, 404, "text/plain", content="")
-            return MockResponse(url, url, 200, "text/plain", content=txt)
-
-    log = tmp_path / "robots.log"
     waves = [
         [("priv.test", "/private/a"), ("slow.test", "/a"), ("priv.test", "/b")],
         [("open.test", "/x"), ("priv.test", "/private/b"), ("slow.test", "/b")],
         [("slow.test", "/c"), ("open.test", "/private/y"), ("priv.test", "/private/c")],
     ]
-    pool = PolitenessPool.create(
-        n_actors=2, budget_per_wave=12,
-        resolver_factory=functools.partial(Resolver, robots, str(log)),
-    )
+    st = HostBudgetState(budget_per_wave=12)
     ref = PolitenessPool.create(n_actors=2, budget_per_wave=12)
     try:
         for rows in waves:
             hosts = [h for h, _ in rows]
             urls = [f"http://{h}{path}" for h, path in rows]
-            allowed, caps = pool.screen(hosts, urls)
+            by_host: dict = {}
+            for h, u in zip(hosts, urls):
+                by_host.setdefault(h, []).append(u)
+            masks, caps = st.screen(by_host, resolve)
+            rows_of = {h: iter(m.tolist()) for h, m in masks.items()}
+            allowed = [next(rows_of[h]) for h in hosts]
             ref.ensure_robots(hosts, lambda h: robots[h])
             want = ref.allowed(hosts, urls)
-            assert allowed.tolist() == want.tolist()
+            assert allowed == want.tolist()
             assert caps == ref.delay_caps([h for h, a in zip(hosts, want) if a])
         assert caps == {"slow.test": 8, "open.test": None}  # floor(60 / 7.5)
-        assert pool.screen([], [])[0].size == 0
+        assert st.screen({}, resolve) == ({}, {})
     finally:
-        for actor in pool.actors + ref.actors:
+        for actor in ref.actors:
             ray.kill(actor, no_restart=True)
-    assert sorted(log.read_text().split()) == sorted(f"http://{h}/robots.txt" for h in robots)
+    assert sorted(asked) == sorted(f"http://{h}/robots.txt" for h in robots)
 
 
 def test_robots_status_mapping():
